@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import (NotBipermutative, ParseError, PeriodTooLarge,
                      TableTooLarge, WordTooShort)
-from .quasigroup import Quasigroup, validate_latin
+from .quasigroup import (Quasigroup, pack_digits, unpack_digits,
+                         validate_latin)
 
 RULE_TABLE_BOUND = 2 ** 24
 PERIODIC_STATE_BOUND = 2 ** 20
@@ -255,21 +256,6 @@ def dual_rule(rule: LocalRule) -> LocalRule:
 # ---------------------------------------------------------------------------
 # block recoding to a nearest-neighbour rule
 
-def _pack(base: int, block_word: Sequence[int]) -> int:
-    v = 0
-    for s in block_word:
-        v = v * base + s
-    return v
-
-
-def _unpack(base: int, block: int, value: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(block):
-        value, r = divmod(value, base)
-        out.append(r)
-    return tuple(reversed(out))
-
-
 @dataclass(frozen=True, eq=False)
 class BlockRecoding:
     """Nearest-neighbour recoding of a wider rule over blocks of ``block``
@@ -280,10 +266,10 @@ class BlockRecoding:
     base_alphabet: int
 
     def pack(self, block_word: Sequence[int]) -> int:
-        return _pack(self.base_alphabet, block_word)
+        return pack_digits(self.base_alphabet, block_word)
 
     def unpack(self, value: int) -> tuple[int, ...]:
-        return _unpack(self.base_alphabet, self.block, value)
+        return unpack_digits(self.base_alphabet, self.block, value)
 
     def encode(self, word: Sequence[int]) -> tuple[int, ...]:
         w = tuple(word)
@@ -315,10 +301,10 @@ def recode_block(rule: LocalRule) -> BlockRecoding:
     if big * big > RULE_TABLE_BOUND:
         raise TableTooLarge(big * big, RULE_TABLE_BOUND)
     table = np.empty((big, big), dtype=np.int32)
-    blocks = [_unpack(n, m, v) for v in range(big)]
+    blocks = [unpack_digits(n, m, v) for v in range(big)]
     for u in range(big):
         for v in range(big):
-            table[u, v] = _pack(n, step(rule, blocks[u] + blocks[v]))
+            table[u, v] = pack_digits(n, step(rule, blocks[u] + blocks[v]))
     gamma = make_rule(big, 0, 1, table)
     return BlockRecoding(gamma, m, n)
 
@@ -380,12 +366,7 @@ def format_rule(rule: LocalRule) -> str:
     flat = rule.table.reshape(-1)
     arity = rule.arity
     for i, out in enumerate(flat.tolist()):
-        nbhd = []
-        v = i
-        for _ in range(arity):
-            v, r = divmod(v, n)
-            nbhd.append(r)
-        nbhd.reverse()
+        nbhd = unpack_digits(n, arity, i)
         lines.append(" ".join(str(x) for x in (*nbhd, out)))
     return "\n".join(lines) + "\n"
 

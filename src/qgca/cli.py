@@ -67,7 +67,7 @@ def _emit(text: str, out_path) -> None:
 
 def _cmd_qg_validate(args) -> int:
     q = resolve_table(args.table)
-    print(f"LATIN OK N={q.order}")
+    _emit(f"LATIN OK N={q.order}", args.out)
     return 0
 
 
@@ -198,8 +198,7 @@ def _cmd_mu_conditional(args) -> int:
 def _cmd_mu_cmeasure(args) -> int:
     doc = resolve_measure(args.measure)
     g = resolve_group(args.group)
-    members = [g.index(tok) if not tok.isdigit() else int(tok)
-               for tok in args.subgroup.split()]
+    members = _parse_word(args.subgroup, g.symbols, g.order)
     rep = mu.coset_measure_check(doc.measure, g, members, args.depth,
                                  args.mass_floor)
     lines = [f"passed={rep.passed} depth={rep.depth} "
@@ -410,8 +409,6 @@ def _cmd_export_fixtures(args) -> int:
 def _add_common(p: argparse.ArgumentParser, *, depth: int | None = None,
                 mass_floor: bool = False) -> None:
     p.add_argument("--out", default=None, help="write the report to a file")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="reserved; sweeps currently run sequentially")
     if depth is not None:
         p.add_argument("--depth", type=int, default=depth)
     if mass_floor:
@@ -487,8 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = mu_p.add_parser("invariance")
     p.add_argument("measure")
     p.add_argument("--ca", default=None, metavar="RULE")
-    p.add_argument("--shift", action="store_true",
-                   help="check the shift (default when --ca is absent)")
     _add_common(p, depth=4)
     p.set_defaults(fn=_cmd_mu_invariance)
     p = mu_p.add_parser("entropy")
@@ -548,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=_cmd_paper_suite)
 
     p = sub.add_parser("export-fixtures", help="write the builtin example files")

@@ -10,14 +10,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automaton import LocalRule, is_bipermutative, make_rule
-from .errors import (AlphabetMismatch, AperiodicKernelWord, BadParams,
+from .errors import (AlphabetSizeMismatch, AperiodicKernelWord, BadParams,
                      NotBipermutative, NotEndomorphicCA, NotEndomorphism,
-                     NotAffine, OrderTooLarge, TooLarge)
+                     NotAffine, TooLarge)
 from .groups import GroupTable, elementary_abelian_group
 from .matfp import (MatrixFp, Poly, RcfResult, Vec, char_roots,
                     invariant_subspaces, rcf)
+from .quasigroup import (CLOSURE_ORDER_BOUND, pack_digits, subquasigroups,
+                         unpack_digits)
 
-INVARIANT_SUBGROUP_ORDER_BOUND = 64
 DIRECT_QUADRUPLE_BOUND = 2 ** 20
 
 
@@ -39,7 +40,8 @@ def _check_alphabet(rule: LocalRule, g: GroupTable) -> None:
     if not rule.is_rnnca:
         raise NotBipermutative("rule is not nearest-neighbour")
     if rule.alphabet_size != g.order:
-        raise AlphabetMismatch(rule.alphabet_size, g.order)
+        raise AlphabetSizeMismatch("rule alphabet", rule.alphabet_size,
+                                   "group", g.order)
 
 
 def decompose_affine(rule: LocalRule, g: GroupTable) -> AffineDecomposition:
@@ -222,63 +224,20 @@ def rho_orbits(rho, g: GroupTable) -> RhoOrbits:
 # ---------------------------------------------------------------------------
 # subgroup lattices
 
-def _sub_closure(g: GroupTable, rho, seed) -> frozenset[int]:
-    members = set(seed)
-    members.add(g.identity)
-    changed = True
-    while changed:
-        changed = False
-        mem = list(members)
-        for a in mem:
-            for v in (g.inv(a), rho[a]):
-                if v not in members:
-                    members.add(v)
-                    changed = True
-            row = g.rows[a]
-            for b in mem:
-                if row[b] not in members:
-                    members.add(row[b])
-                    changed = True
-    return frozenset(members)
-
-
 def invariant_subgroups(g: GroupTable, rho=None) -> list[tuple[int, ...]]:
     """All subgroups B with rho(B) = B, including the trivial ones.
 
-    Seeds of size <= 2 are closed under the operation, inverses, and rho;
-    the resulting family is then closed under pairwise union-closures.
+    In a finite group a nonempty subset closed under the operation is a
+    subgroup, so these are the subsets closed under the operation and rho.
     """
     n = g.order
-    if n > INVARIANT_SUBGROUP_ORDER_BOUND:
-        raise OrderTooLarge(n, INVARIANT_SUBGROUP_ORDER_BOUND)
     if rho is None:
         rho = tuple(range(n))
     else:
         rho = tuple(int(v) for v in rho)
         if sorted(rho) != list(range(n)) or rho[g.identity] != g.identity:
             raise BadParams("rho must be a permutation fixing the identity")
-    family: set[frozenset[int]] = {frozenset({g.identity})}
-    for a in range(n):
-        family.add(_sub_closure(g, rho, (a,)))
-        for b in range(a + 1, n):
-            family.add(_sub_closure(g, rho, (a, b)))
-    while True:
-        additions = set()
-        fam = list(family)
-        for i, x in enumerate(fam):
-            for y in fam[i + 1:]:
-                if x <= y or y <= x:
-                    continue
-                u = _sub_closure(g, rho, x | y)
-                if u not in family:
-                    additions.add(u)
-        if not additions:
-            break
-        family |= additions
-    family.add(frozenset(range(n)))
-    out = [tuple(sorted(s)) for s in family]
-    out.sort(key=lambda s: (len(s), s))
-    return out
+    return subquasigroups(g, include_trivial=True, unary=(rho,))
 
 
 def subgroups(g: GroupTable) -> list[tuple[int, ...]]:
@@ -301,7 +260,7 @@ def elementary_structure(g: GroupTable) -> tuple[int, int] | None:
     n = g.order
     if n == 1:
         return None
-    p = 2
+    p = 2                  # the smallest divisor >= 2, hence prime
     while n % p:
         p += 1
     k = 0
@@ -309,26 +268,15 @@ def elementary_structure(g: GroupTable) -> tuple[int, int] | None:
     while rest % p == 0:
         rest //= p
         k += 1
-    if rest != 1 or not _prime(p):
+    if rest != 1:
         return None
-    for a in range(n):
-        acc = a
-        for _ in range(p - 1):
-            acc = g.mul(acc, a)
-        if acc != g.identity:
-            return None
+    idx = np.arange(n)
+    power = idx
+    for _ in range(p - 1):
+        power = g.table[power, idx]
+    if (power != g.identity).any():
+        return None
     return p, k
-
-
-def _prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -351,40 +299,42 @@ def linear_view(g: GroupTable, rho) -> LinearView | None:
         return None
     p, k = struct
     rho = tuple(int(v) for v in rho)
-    gt = g.table.astype(np.int64)
+    gt = g.table
     r = np.asarray(rho)
     if rho[g.identity] != g.identity:
         return None
     if not np.array_equal(r[gt], gt[r][:, r]):
         return None
 
-    coords: dict[int, Vec] = {g.identity: (0,) * k}
+    # greedy basis in index order; span holds every element reached so far
+    coord = np.zeros((g.order, k), dtype=np.int64)
+    known = np.zeros(g.order, dtype=bool)
+    known[g.identity] = True
+    span = np.array([g.identity])
     basis: list[int] = []
     for a in range(g.order):
-        if a in coords:
+        if known[a]:
             continue
         i = len(basis)
         basis.append(a)
-        extended = dict(coords)
-        for x, cx in coords.items():
-            cur = x
-            for t in range(1, p):
-                cur = g.mul(cur, a)
-                cv = list(cx)
-                cv[i] = t
-                extended[cur] = tuple(cv)
-        coords = extended
-        if len(coords) == g.order:
+        layers = [span]
+        for t in range(1, p):
+            cur = g.table[layers[-1], a]
+            coord[cur] = coord[span]
+            coord[cur, i] = t
+            layers.append(cur)
+        span = np.concatenate(layers)
+        known[span] = True
+        if len(span) == g.order:
             break
-    if len(basis) != k or len(coords) != g.order:
-        return None
-    cols = [coords[rho[b]] for b in basis]
+    cols = [coord[rho[b]].tolist() for b in basis]
     matrix = MatrixFp.from_rows(p, [[cols[j][i] for j in range(k)]
                                     for i in range(k)])
+    m = np.asarray(matrix.rows, dtype=np.int64)
+    if not np.array_equal(coord @ m.T % p, coord[r]):
+        return None  # pragma: no cover - re-verify the matrix reproduces rho
+    coords = {a: tuple(v) for a, v in enumerate(coord.tolist())}
     elements = {v: a for a, v in coords.items()}
-    for a in range(g.order):   # re-verify the matrix reproduces rho
-        if matrix.vec(coords[a]) != coords[rho[a]]:
-            return None  # pragma: no cover
     return LinearView(p, k, tuple(basis), coords, elements, matrix)
 
 
@@ -420,25 +370,14 @@ def affine_matrix_system(m0: MatrixFp, m1: MatrixFp | None = None
     if (m1.p, m1.n) != (p, k):
         raise BadParams("component matrices must share modulus and size")
     g = elementary_abelian_group(p, k)
-    n = g.order
-    digits = np.empty((n, k), dtype=np.int64)
-    v = np.arange(n)
-    for pos in range(k - 1, -1, -1):
-        digits[:, pos] = v % p
-        v = v // p
+    digits = unpack_digits(p, k, np.arange(g.order))
 
     def images(mat: MatrixFp) -> np.ndarray:
-        arr = np.asarray(mat.rows, dtype=np.int64)
-        img_digits = digits @ arr.T % p
-        out = np.zeros(n, dtype=np.int64)
-        for pos in range(k):
-            out = out * p + img_digits[:, pos]
-        return out
+        return pack_digits(p, [sum(c * d for c, d in zip(row, digits))
+                               for row in mat.rows])
 
     img0, img1 = images(m0), images(m1)
-    gt = g.table.astype(np.int64)
-    table = gt[img0][:, img1]
-    return g, make_rule(n, 0, 1, table)
+    return g, make_rule(g.order, 0, 1, g.table[img0][:, img1])
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +422,7 @@ def lemma_audit(g: GroupTable, rule: LocalRule) -> LemmaAuditReport:
     method = "unavailable"
     has_sub: bool | None = None
     witness: tuple[int, ...] | None = None
-    if g.order <= INVARIANT_SUBGROUP_ORDER_BOUND:
+    if g.order <= CLOSURE_ORDER_BOUND:
         subs = invariant_subgroups(g, kern.rho)
         nontrivial = [s for s in subs if 1 < len(s) < g.order]
         has_sub = bool(nontrivial)

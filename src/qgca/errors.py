@@ -53,6 +53,16 @@ class AlphabetMismatch(InputError):
             f"symbol {symbol} outside alphabet of size {alphabet_size}")
 
 
+class AlphabetSizeMismatch(AlphabetMismatch):
+    """Two objects that must share an alphabet have different sizes."""
+
+    def __init__(self, what, size, other, other_size):
+        self.sizes = (size, other_size)
+        InputError.__init__(
+            self, f"{what} of size {size} does not match {other} of size "
+                  f"{other_size}")
+
+
 # ---------------------------------------------------------------------------
 # bound errors
 

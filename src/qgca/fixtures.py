@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .automaton import LocalRule, format_rule, from_quasigroup, load_rule
+from .automaton import LocalRule, format_rule, from_quasigroup, parse_rule
 from .eca import affine_matrix_system
 from .errors import UnknownName
 from .groups import (GroupTable, format_group, from_quasigroup as group_from_q,
@@ -59,13 +59,15 @@ def resolve_group(spec: str) -> GroupTable:
 def resolve_rule(spec: str) -> tuple[LocalRule, tuple[str, ...] | None]:
     """Returns the rule and, when one is known, the symbol naming."""
     if not spec.startswith("@"):
-        rule = load_rule(spec)
-        symbols = None
-        text = Path(spec).read_text().strip().splitlines()
-        if text and text[0].split()[0] == "quasigroup":
-            table = load_table(Path(spec).parent / text[0].split()[1])
-            symbols = table.symbols
-        return rule, symbols
+        path = Path(spec)
+        tables: list[Quasigroup] = []
+
+        def resolve(rel: str) -> Quasigroup:
+            tables.append(load_table(path.parent / rel))
+            return tables[-1]
+
+        rule = parse_rule(path.read_text(), resolve=resolve)
+        return rule, tables[0].symbols if tables else None
     if spec[1:].lower() == "z7x4":
         g, rule = affine_matrix_system(M7_MATRIX)
         return rule, g.symbols

@@ -8,60 +8,29 @@ from the construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
 from .errors import BadParams, NotAGroup, OrderTooLarge, ParseError
-from .quasigroup import Quasigroup, builtin
+from .quasigroup import (Quasigroup, builtin, format_table, pack_digits,
+                         parse_table, product, unpack_digits)
 
 ASSOCIATIVITY_CHECK_BOUND = 1024
 
 
 @dataclass(frozen=True, eq=False)
-class GroupTable:
+class GroupTable(Quasigroup):
     """Cayley table with identity index, inverse map, and abelian flag."""
 
-    symbols: tuple[str, ...]
-    table: np.ndarray
     identity: int
     inverse: tuple[int, ...]
     abelian: bool
 
-    @property
-    def order(self) -> int:
-        return len(self.symbols)
-
-    @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(int(v) for v in row) for row in self.table.tolist())
-
-    def mul(self, a: int, b: int) -> int:
-        return self.rows[a][b]
-
     def inv(self, a: int) -> int:
         return self.inverse[a]
 
-    def index(self, name: str) -> int:
-        try:
-            return self.symbols.index(name)
-        except ValueError:
-            raise ParseError(f"unknown symbol name {name!r}") from None
-
-    def word(self, text) -> tuple[int, ...]:
-        names = text.split() if isinstance(text, str) else list(text)
-        return tuple(self.index(n) for n in names)
-
     def quasigroup(self) -> Quasigroup:
         return Quasigroup(self.symbols, self.table)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupTable):
-            return NotImplemented
-        return (self.symbols == other.symbols
-                and np.array_equal(self.table, other.table)
-                and self.identity == other.identity)
 
     def __repr__(self) -> str:
         return f"GroupTable(order={self.order}, identity={self.symbols[self.identity]!r})"
@@ -98,8 +67,7 @@ def from_quasigroup(q: Quasigroup) -> GroupTable:
 
 def group_product(g1: GroupTable, g2: GroupTable) -> GroupTable:
     """Direct product; combined index is left_index * |right| + right_index."""
-    from .quasigroup import product as q_product
-    return _finish(q_product(g1.quasigroup(), g2.quasigroup()),
+    return _finish(product(g1.quasigroup(), g2.quasigroup()),
                    check_associativity=False)
 
 
@@ -119,37 +87,18 @@ def elementary_abelian_group(p: int, k: int) -> GroupTable:
     """(Z/p)^k with index = base-p digits, most significant first."""
     if p < 2 or k < 1:
         raise BadParams(f"need p >= 2 and k >= 1, got ({p}, {k})")
-    n = p ** k
-    idx = np.arange(n)
-    digits = np.empty((n, k), dtype=np.int64)
-    v = idx.copy()
-    for pos in range(k - 1, -1, -1):
-        digits[:, pos] = v % p
-        v //= p
-    sums = (digits[:, None, :] + digits[None, :, :]) % p
-    table = np.zeros((n, n), dtype=np.int64)
-    for pos in range(k):
-        table = table * p + sums[:, :, pos]
-    symbols = tuple("".join(str(d) for d in row) for row in digits.tolist())
+    digits = unpack_digits(p, k, np.arange(p ** k, dtype=np.int32))
+    table = pack_digits(p, (d[:, None] + d[None, :] for d in digits))
+    symbols = tuple("".join(map(str, ds))
+                    for ds in zip(*(d.tolist() for d in digits)))
     q = Quasigroup(symbols, np.ascontiguousarray(table, dtype=np.int32))
     q.table.flags.writeable = False
     return _finish(q, check_associativity=False)
 
 
-def element_digits(p: int, k: int, index: int) -> tuple[int, ...]:
-    """Base-p digit vector of an elementary abelian element index."""
-    out = []
-    for _ in range(k):
-        index, r = divmod(index, p)
-        out.append(r)
-    return tuple(reversed(out))
-
-
-def digits_index(p: int, digits: Sequence[int]) -> int:
-    v = 0
-    for d in digits:
-        v = v * p + d % p
-    return v
+# digit vectors of elementary abelian element indices
+element_digits = unpack_digits
+digits_index = pack_digits
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +110,6 @@ def parse_group(text: str) -> GroupTable:
     if len(id_lines) != 1:
         raise ParseError('group file needs exactly one "identity <symbol>" line')
     rest = "\n".join(ln for ln in lines if not ln.strip().startswith("identity "))
-    from .quasigroup import parse_table
     q = parse_table(rest)
     g = from_quasigroup(q)
     declared = id_lines[0].split()
@@ -175,7 +123,6 @@ def parse_group(text: str) -> GroupTable:
 
 
 def format_group(g: GroupTable) -> str:
-    from .quasigroup import format_table
     return format_table(g.quasigroup()) + f"identity {g.symbols[g.identity]}\n"
 
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import BadParams, ParseError, QgcaError, TooLarge
+from .quasigroup import is_prime, join_sweep, unpack_digits
 
 SUBSPACE_ENUMERATION_BOUND = 2 ** 20
 SUBSPACE_FAMILY_BOUND = 20000
@@ -173,17 +174,6 @@ def companion_matrix(f: Poly, p: int) -> "MatrixFp":
 # ---------------------------------------------------------------------------
 # matrices
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 @dataclass(frozen=True, eq=True)
 class MatrixFp:
     """Square matrix over the prime field F_p, entries reduced mod p."""
@@ -194,7 +184,7 @@ class MatrixFp:
 
     @classmethod
     def from_rows(cls, p: int, rows) -> "MatrixFp":
-        if not _is_prime(p):
+        if not is_prime(p):
             raise BadParams(f"modulus {p} is not prime")
         rows = tuple(tuple(int(v) % p for v in row) for row in rows)
         n = len(rows)
@@ -452,9 +442,7 @@ def cyclic_subspace(m: MatrixFp, v: Vec) -> tuple[Vec, ...]:
     return rref(rows, m.p)
 
 
-def invariant_subspaces(m: MatrixFp,
-                        family_bound: int = SUBSPACE_FAMILY_BOUND
-                        ) -> list[tuple[Vec, ...]]:
+def invariant_subspaces(m: MatrixFp) -> list[tuple[Vec, ...]]:
     """All nonzero proper M-invariant subspaces, as canonical RREF bases.
 
     Strategy: cyclic subspaces of every (projective) vector, then sums of
@@ -464,38 +452,22 @@ def invariant_subspaces(m: MatrixFp,
     p, n = m.p, m.n
     if p ** n > SUBSPACE_ENUMERATION_BOUND:
         raise TooLarge(f"{p}^{n} vectors exceed bound {SUBSPACE_ENUMERATION_BOUND}")
-    family: dict[tuple[Vec, ...], None] = {}
-
-    def digits(value: int) -> Vec:
-        out = []
-        for _ in range(n):
-            value, r = divmod(value, p)
-            out.append(r)
-        return tuple(reversed(out))
-
+    seeds = []
     for idx in range(1, p ** n):
-        v = digits(idx)
+        v = unpack_digits(p, n, idx)
         lead = next(x for x in v if x)
         if lead != 1:          # one representative per scalar line
             continue
         basis = cyclic_subspace(m, v)
         if len(basis) < n:
-            family.setdefault(basis, None)
+            seeds.append(basis)
 
-    frontier = list(family)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for y in list(family):
-                s = rref(list(x) + list(y), p)
-                if len(s) < n and s not in family:
-                    family[s] = None
-                    fresh.append(s)
-                if len(family) > family_bound:
-                    raise TooLarge(
-                        f"invariant subspace family exceeds {family_bound}")
-        frontier = fresh
+    def join(x: tuple[Vec, ...], y: tuple[Vec, ...]) -> tuple[Vec, ...] | None:
+        s = rref(x + y, p)
+        return s if len(s) < n else None
 
+    family = join_sweep(seeds, join, SUBSPACE_FAMILY_BOUND,
+                        "invariant subspace family")
     for basis in family:       # re-verify invariance of everything returned
         for row in basis:
             if not in_span(basis, m.vec(row), p):

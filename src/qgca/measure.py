@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .automaton import LocalRule, fiber_preimages, is_bipermutative
-from .errors import (AlphabetMismatch, BadParams, DepthTooLarge,
-                     NotASubgroup, NotBipermutative, ParseError,
+from .errors import (AlphabetMismatch, AlphabetSizeMismatch, BadParams,
+                     DepthTooLarge, NotASubgroup, NotBipermutative, ParseError,
                      WordTooShort, ZeroMassCondition)
 from .groups import GroupTable
 
@@ -207,7 +207,8 @@ class CaPushforward(CylinderMeasure):
             raise NotBipermutative("pushforward needs a bipermutative "
                                    "nearest-neighbour rule")
         if rule.alphabet_size != base.alphabet_size:
-            raise AlphabetMismatch(rule.alphabet_size, base.alphabet_size)
+            raise AlphabetSizeMismatch("rule alphabet", rule.alphabet_size,
+                                       "measure alphabet", base.alphabet_size)
         super().__init__(base.alphabet_size)
         self.base = base
         self.rule = rule
@@ -418,7 +419,8 @@ def coset_measure_check(m: CylinderMeasure, g: GroupTable,
     shift-invariant measure.
     """
     if m.alphabet_size != g.order:
-        raise AlphabetMismatch(g.order, m.alphabet_size)
+        raise AlphabetSizeMismatch("group", g.order,
+                                   "measure alphabet", m.alphabet_size)
     members = tuple(sorted({int(c) for c in subgroup_members}))
     if not members:
         raise NotASubgroup(members, "empty")

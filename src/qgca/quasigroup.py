@@ -9,14 +9,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import (BadEntry, BadParams, DuplicateInColumn, DuplicateInRow,
-                     OrderTooLarge, ParseError, UnknownName)
+                     OrderTooLarge, ParseError, TooLarge, UnknownName)
 
-SUBQUASIGROUP_ORDER_BOUND = 64
+# largest order the closed-subset enumerators accept
+CLOSURE_ORDER_BOUND = 64
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,63 +133,117 @@ def is_associative(q: Quasigroup) -> bool:
     return associativity_witness(q) is None
 
 
-def closure(q: Quasigroup, seed: Iterable[int]) -> frozenset[int]:
-    """Smallest subset containing ``seed`` and closed under the operation."""
-    members = set(seed)
+def closure(q: Quasigroup, seed: Iterable[int],
+            unary: Sequence[Sequence[int]] = ()) -> frozenset[int]:
+    """Smallest subset containing ``seed`` and closed under the operation and
+    under each map in ``unary`` (given as an image tuple).
+
+    Each element is multiplied, on both sides, only with the elements taken
+    before it, so every product is formed once.
+    """
     rows = q.rows
-    changed = True
-    while changed:
-        changed = False
-        mem = list(members)
-        for a in mem:
-            ra = rows[a]
-            for b in mem:
-                v = ra[b]
-                if v not in members:
-                    members.add(v)
-                    changed = True
+    members = set(seed)
+    todo = list(members)
+    done: list[int] = []
+    while todo:
+        a = todo.pop()
+        done.append(a)
+        ra = rows[a]
+        found = [f[a] for f in unary]
+        for b in done:
+            found.append(ra[b])
+            found.append(rows[b][a])
+        for v in found:
+            if v not in members:
+                members.add(v)
+                todo.append(v)
     return frozenset(members)
 
 
-def subquasigroups(q: Quasigroup, include_trivial: bool = False) -> list[tuple[int, ...]]:
-    """All closed subsets, found by closing seeds of size <= 2 and sweeping
-    pairwise union-closures to a fixed point.
+def join_sweep(seeds: Iterable[T], join: Callable[[T, T], T | None],
+               bound: int | None = None, what: str = "family") -> list[T]:
+    """Every join of one or more seeds, seeds first.
 
+    Each member, seed or found, is joined once with every seed; a join of
+    several seeds is reached one seed at a time, so the family is complete
+    when no join yields a new member.  ``join`` returns None for a pair
+    whose join is left out of the family.  Raises TooLarge when the family
+    grows past ``bound`` members.
+    """
+    atoms = list(dict.fromkeys(seeds))
+    members = list(atoms)
+    family = set(members)
+    for x in members:                        # members grows while we loop
+        if bound is not None and len(members) > bound:
+            raise TooLarge(f"{what} exceeds {bound}")
+        for a in atoms:
+            u = join(x, a)
+            if u is not None and u not in family:
+                family.add(u)
+                members.append(u)
+    return members
+
+
+def subquasigroups(q: Quasigroup, include_trivial: bool = False,
+                   unary: Sequence[Sequence[int]] = ()
+                   ) -> list[tuple[int, ...]]:
+    """All subsets closed under the operation and the maps in ``unary``.
+
+    Every closed subset is the join of the closures of its elements, so the
+    closures of single elements, swept under pairwise join, find them all.
     By default only proper subsets of size >= 2 are returned;
-    ``include_trivial`` adds idempotent singletons and the full set.
+    ``include_trivial`` adds the closed singletons and the full set.
     """
     n = q.order
-    if n > SUBQUASIGROUP_ORDER_BOUND:
-        raise OrderTooLarge(n, SUBQUASIGROUP_ORDER_BOUND)
-    family: set[frozenset[int]] = set()
-    for a in range(n):
-        family.add(closure(q, (a,)))
-        for b in range(a + 1, n):
-            family.add(closure(q, (a, b)))
-    # union-closure sweep
-    while True:
-        additions: set[frozenset[int]] = set()
-        fam = list(family)
-        for i, x in enumerate(fam):
-            for y in fam[i + 1:]:
-                if x <= y or y <= x:
-                    continue
-                u = closure(q, x | y)
-                if u not in family:
-                    additions.add(u)
-        if not additions:
-            break
-        family |= additions
-    family.add(frozenset(range(n)))
+    if n > CLOSURE_ORDER_BOUND:
+        raise OrderTooLarge(n, CLOSURE_ORDER_BOUND)
 
-    def keep(s: frozenset[int]) -> bool:
-        if include_trivial:
-            return True
-        return 1 < len(s) < n
+    def join(x: frozenset[int], y: frozenset[int]) -> frozenset[int]:
+        if x <= y:
+            return y
+        if y <= x:
+            return x
+        return closure(q, x | y, unary)
 
-    out = [tuple(sorted(s)) for s in family if keep(s)]
+    family = join_sweep((closure(q, (a,), unary) for a in range(n)), join)
+    out = [tuple(sorted(s)) for s in family
+           if include_trivial or 1 < len(s) < n]
     out.sort(key=lambda s: (len(s), s))
     return out
+
+
+# ---------------------------------------------------------------------------
+# base-p digits and primality
+
+def pack_digits(base: int, digits):
+    """The integer whose base-``base`` digits, most significant first, are
+    ``digits`` (each reduced mod ``base``).  Digits may be ints or equal-shape
+    integer arrays; arrays are packed elementwise."""
+    value = 0
+    for d in digits:
+        value = value * base + d % base
+    return value
+
+
+def unpack_digits(base: int, width: int, value) -> tuple:
+    """The ``width`` base-``base`` digits of ``value``, most significant
+    first.  For an integer array ``value`` each digit is an array."""
+    out = []
+    for _ in range(width):
+        value, r = divmod(value, base)
+        out.append(r)
+    return tuple(reversed(out))
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +280,6 @@ def _quaternion_mul(a: int, b: int) -> int:
     return 2 * xc + (s ^ flip)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _cyclic(n: int) -> Quasigroup:
     if n < 1:
         raise BadParams(f"cyclic order must be positive, got {n}")
@@ -243,7 +289,7 @@ def _cyclic(n: int) -> Quasigroup:
 
 
 def _ledrappier(p: int, c0: int, c1: int) -> Quasigroup:
-    if not _is_prime(p):
+    if not is_prime(p):
         raise BadParams(f"ledrappier modulus must be prime, got {p}")
     if not (0 < c0 % p and 0 < c1 % p):
         raise BadParams("ledrappier coefficients must be nonzero mod p")
@@ -394,7 +440,7 @@ def parse_table(text: str) -> Quasigroup:
 
 def format_table(q: Quasigroup) -> str:
     lines = [" ".join([str(q.order), *q.symbols])]
-    for row in q.rows:
+    for row in q.table.tolist():
         lines.append(" ".join(q.symbols[v] for v in row))
     return "\n".join(lines) + "\n"
 

@@ -81,8 +81,19 @@ def test_criterion_5_xi_conjugacy():
     assert ca.xi_inverse(d7_rule, ca.xi(d7_rule, w)) == w
 
 
-def test_criterion_6_z7x4_eca_audit():
+def test_criterion_6_z7x4_eca_audit(monkeypatch):
+    built = []
+
+    def affine_matrix_system(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    real = eca.affine_matrix_system
+    monkeypatch.setattr(eca, "affine_matrix_system", affine_matrix_system)
     rows = run_criterion(6, 60.0)
+    # neither the criterion nor its audit builds the 2401 x 2401 rows tuple
+    (g, _), = built
+    assert g.order == 2401 and "rows" not in vars(g)
     infos = [r for r in rows if r.status == "INFO"]
     assert any("DISAGREE" in r.detail for r in infos)
     result = mf.rcf(mf.MatrixFp.from_rows(

@@ -1,11 +1,15 @@
+from pathlib import Path
+
 import pytest
 
 from qgca import cli
+from qgca import matfp as mf
 from qgca import measure as mu
 from qgca import quasigroup as qg
 from qgca.fixtures import M7_MATRIX, export_fixtures
 from qgca.matfp import load_matrix
-from qgca.groups import load_group, group_product, cyclic_group, quaternion_group
+from qgca.groups import (cyclic_group, elementary_abelian_group, format_group,
+                         group_product, load_group, quaternion_group)
 from qgca.quasigroup import load_table
 
 
@@ -16,10 +20,18 @@ def fixture_dir(tmp_path_factory):
     return d
 
 
-def run(capsys, *argv):
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def run_raw(capsys, *argv):
     code = cli.main([str(a) for a in argv])
     captured = capsys.readouterr()
-    return code, captured.out.strip(), captured.err.strip()
+    return code, captured.out, captured.err
+
+
+def run(capsys, *argv):
+    code, out, err = run_raw(capsys, *argv)
+    return code, out.strip(), err.strip()
 
 
 def test_qg_validate_ok(capsys, fixture_dir):
@@ -33,6 +45,26 @@ def test_qg_validate_corrupted(capsys, tmp_path, fixture_dir):
     bad.write_text(text)
     code, _, err = run(capsys, "qg", "validate", bad)
     assert code == 1 and "FAIL" in err
+
+
+def test_qg_validate_out_writes_file(capsys, tmp_path, fixture_dir):
+    out_path = tmp_path / "validate.txt"
+    code, stdout, _ = run(capsys, "qg", "validate", fixture_dir / "d7.table",
+                          "--out", out_path)
+    assert code == 0 and stdout == ""
+    assert out_path.read_text() == "LATIN OK N=7\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("qg", "sub", "@d7", "--jobs", "2"),
+    ("paper-suite", "--depth", "3", "--jobs", "2"),
+    ("mu", "invariance", "@uniform,2", "--shift"),
+])
+def test_removed_options_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_missing_file_is_input_error(capsys):
@@ -133,6 +165,30 @@ def test_mu_cmeasure(capsys, fixture_dir):
                        fixture_dir / "c2q.group",
                        "--subgroup", "(0,1) (1,1)", "--depth", "3")
     assert code == 0 and "passed=True" in out
+
+
+def test_mu_cmeasure_digit_names_are_names(capsys, tmp_path):
+    # element names of (Z/2)^4 are digit strings: "0010" is index 2, not 10
+    g = elementary_abelian_group(2, 4)
+    assert g.symbols[2] == "0010"
+    group = tmp_path / "z2x4.group"
+    group.write_text(format_group(g))
+    assert cli._parse_word("0000 0010", g.symbols, g.order) == (0, 2)
+    # Bernoulli mass 1/2 on each of 0000 and 0010: uniform on the coset {0, 2}
+    weights = ["1/2" if a in (0, 2) else "0" for a in range(16)]
+    measure = tmp_path / "b.measure"
+    measure.write_text("kind=bernoulli\nweights=" + " ".join(weights) + "\n")
+    code, out, err = run(capsys, "mu", "cmeasure", measure, group,
+                         "--subgroup", "0000 0010", "--depth", "2")
+    assert code == 0 and "passed=True" in out, err
+
+
+def test_mu_cmeasure_size_mismatch_message(capsys, fixture_dir):
+    code, _, err = run(capsys, "mu", "cmeasure", "@uniform,4",
+                       fixture_dir / "c2q.group", "--subgroup", "(0,1)")
+    assert code == 2
+    assert err == ("input error: group of size 16 does not match "
+                   "measure alphabet of size 4")
 
 
 def test_mu_fibers(capsys, fixture_dir):
@@ -248,9 +304,39 @@ def test_output_to_file(capsys, tmp_path, fixture_dir):
     assert "a1 a2" in out_path.read_text()
 
 
-def test_paper_suite_depth3(capsys):
-    code, out, _ = run(capsys, "paper-suite", "--depth", "3")
+GOLDEN_COMMANDS = {
+    "qg_sub_d7.tsv": ("qg", "sub", "@d7"),
+    "qg_sub_c2q_trivial.tsv": ("qg", "sub", "@c2q", "--include-trivial"),
+    "eca_invsubgroups_c2q.tsv": ("eca", "invsubgroups", "@c2q"),
+    "eca_invsubspaces_identity_3_4.tsv": ("eca", "invsubspaces",
+                                          "@identity,3,4"),
+    "eca_invsubspaces_m7neg.tsv": ("eca", "invsubspaces", "@m7neg"),
+    "eca_audit_ledrappier321_cyclic3.tsv": ("eca", "audit",
+                                            "{fx}/ledrappier321.rule",
+                                            "{fx}/cyclic3.group"),
+}
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN_COMMANDS))
+def test_golden_output(capsys, fixture_dir, golden):
+    argv = [a.format(fx=fixture_dir) for a in GOLDEN_COMMANDS[golden]]
+    code, out, _ = run_raw(capsys, *argv)
     assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+def test_invsubspaces_family_bound_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(mf, "SUBSPACE_FAMILY_BOUND", 100)
+    code, _, err = run(capsys, "eca", "invsubspaces", "@identity,3,4")
+    assert code == 3
+    assert err == "bound exceeded: invariant subspace family exceeds 100"
+
+
+def test_paper_suite_depth3(capsys):
+    code, raw, _ = run_raw(capsys, "paper-suite", "--depth", "3")
+    assert code == 0
+    assert raw == (GOLDEN / "paper_suite_depth3.tsv").read_text()
+    out = raw.strip()
     lines = out.splitlines()
     assert lines[0] == "criterion\tname\tstatus\tdetail"
     statuses = {ln.split("\t")[2] for ln in lines[1:]}

@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -8,8 +9,9 @@ from qgca import eca
 from qgca import groups as gr
 from qgca import matfp as mf
 from qgca import quasigroup as qg
-from qgca.errors import (BadParams, NotAffine, NotAGroup, NotEndomorphicCA,
-                         NotEndomorphism, OrderTooLarge, ParseError)
+from qgca.errors import (AlphabetMismatch, BadParams, NotAffine, NotAGroup,
+                         NotEndomorphicCA, NotEndomorphism, OrderTooLarge,
+                         ParseError)
 
 from oracles import subgroups_bitmask
 
@@ -53,6 +55,13 @@ def test_elementary_abelian_group():
     b = gr.digits_index(7, (6, 6, 6, 6))
     assert g.mul(a, b) == gr.digits_index(7, (0, 1, 2, 3))
     assert gr.element_digits(7, 4, a) == (1, 2, 3, 4)
+
+
+def test_rule_group_size_mismatch_message():
+    with pytest.raises(AlphabetMismatch) as exc:
+        eca.kernel(led_rule(3, 1, 1), gr.cyclic_group(2))
+    assert str(exc.value) == ("rule alphabet of size 3 does not match "
+                              "group of size 2")
 
 
 def test_group_file_roundtrip():
@@ -238,20 +247,32 @@ def test_invariant_subgroups_v4_swap_frozen():
     assert subs == [(0,), (0, 3), (0, 1, 2, 3)]
 
 
+def _kernel_rho_system(p, k, seed):
+    """An elementary abelian group with the kernel rho of a random
+    bipermutative affine rule over it."""
+    g, rule = eca.affine_matrix_system(
+        _random_invertible(p, k, random.Random(seed)))
+    return g, eca.kernel(rule, g).rho
+
+
 @pytest.mark.parametrize("make,rho_kind", [
     (lambda: gr.quaternion_group(), "identity"),
     (lambda: gr.quaternion_group(), "inverse"),
     (lambda: gr.cyclic_group(12), "identity"),
     (lambda: gr.cyclic_group(12), "inverse"),
     (lambda: gr.group_product(gr.cyclic_group(2), gr.cyclic_group(2)), "swap"),
-])
+] + [(lambda p=p, k=k, seed=seed: _kernel_rho_system(p, k, seed), "kernel")
+     for p, k in ((2, 4), (3, 2)) for seed in (1, 2, 3)])
 def test_invariant_subgroups_match_bitmask_oracle(make, rho_kind):
-    g = make()
+    if rho_kind == "kernel":
+        g, rho = make()
+    else:
+        g = make()
     if rho_kind == "identity":
         rho = tuple(range(g.order))
     elif rho_kind == "inverse":
         rho = tuple(g.inv(a) for a in range(g.order))
-    else:
+    elif rho_kind == "swap":
         rho = (0, 2, 1, 3)
     found = eca.invariant_subgroups(g, rho)
     oracle = sorted(subgroups_bitmask(g.rows, g.identity, g.inverse, rho),

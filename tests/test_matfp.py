@@ -196,6 +196,15 @@ def test_invariant_subspaces_bound():
         mf.invariant_subspaces(mf.MatrixFp.identity(2, 21))
 
 
+def test_invariant_subspaces_family_bound(monkeypatch):
+    ident = mf.MatrixFp.identity(3, 4)          # 210 proper subspaces
+    monkeypatch.setattr(mf, "SUBSPACE_FAMILY_BOUND", 210)
+    assert len(mf.invariant_subspaces(ident)) == 210
+    monkeypatch.setattr(mf, "SUBSPACE_FAMILY_BOUND", 209)
+    with pytest.raises(TooLarge, match="invariant subspace family exceeds 209"):
+        mf.invariant_subspaces(ident)
+
+
 # ---------------------------------------------------------------------------
 # files and construction
 

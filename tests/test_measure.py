@@ -58,6 +58,19 @@ def test_eval_checks_alphabet():
         mu.UniformMeasure(3).eval((0, 3))
 
 
+def test_size_mismatch_names_both_sizes():
+    with pytest.raises(AlphabetMismatch) as exc:
+        mu.pushforward_ca(mu.UniformMeasure(2),
+                          ca.from_quasigroup(qg.builtin("D7")))
+    assert str(exc.value) == ("rule alphabet of size 7 does not match "
+                              "measure alphabet of size 2")
+    g = group_product(cyclic_group(2), quaternion_group())
+    with pytest.raises(AlphabetMismatch) as exc:
+        mu.coset_measure_check(mu.UniformMeasure(4), g, [0], 2)
+    assert str(exc.value) == ("group of size 16 does not match "
+                              "measure alphabet of size 4")
+
+
 def test_bernoulli_validation():
     with pytest.raises(BadParams):
         mu.BernoulliMeasure([F(1, 2), F(1, 3)])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgca import quasigroup as qg
 from qgca.errors import (BadEntry, BadParams, DuplicateInColumn,
@@ -236,3 +237,26 @@ def test_table_is_readonly(d7):
     with pytest.raises(ValueError):
         d7.table[0, 0] = 3
     assert isinstance(d7.table, np.ndarray)
+
+
+# ---------------------------------------------------------------------------
+# base-p digit codec
+
+@settings(max_examples=60, deadline=None)
+@given(base=st.integers(2, 9), width=st.integers(1, 4), data=st.data())
+def test_digit_codec_roundtrip(base, width, data):
+    from qgca.automaton import BlockRecoding, make_rule
+
+    n = base ** width
+    value = data.draw(st.integers(0, n - 1))
+    digits = qg.unpack_digits(base, width, value)
+    assert len(digits) == width and all(0 <= d < base for d in digits)
+    assert qg.pack_digits(base, digits) == value
+    # the array form agrees with the scalar form at every value
+    columns = qg.unpack_digits(base, width, np.arange(n))
+    assert [tuple(row) for row in zip(*(c.tolist() for c in columns))] == \
+        [qg.unpack_digits(base, width, v) for v in range(n)]
+    assert np.array_equal(qg.pack_digits(base, columns), np.arange(n))
+    # block recoding packs and unpacks blocks with the same codec
+    rec = BlockRecoding(make_rule(2, 0, 1, [[0, 1], [1, 0]]), width, base)
+    assert rec.unpack(value) == digits and rec.pack(digits) == value
