@@ -52,6 +52,10 @@ class LocalRule:
         return None
 
     @cached_property
+    def _bipermutative(self) -> bool:
+        return is_left_permutative(self) and is_right_permutative(self)
+
+    @cached_property
     def _solve_rows(self) -> np.ndarray:
         """right_solve[a, v] = the b with table[a, b] = v (bipermutative only)."""
         if not self.is_rnnca or not is_right_permutative(self):
@@ -117,13 +121,15 @@ def is_right_permutative(rule: LocalRule) -> bool:
 
 
 def is_bipermutative(rule: LocalRule) -> bool:
-    return is_left_permutative(rule) and is_right_permutative(rule)
+    """Left and right permutative; computed once per rule, since the table
+    is read-only."""
+    return rule._bipermutative
 
 
 def _require_bipermutative(rule: LocalRule) -> None:
     if not rule.is_rnnca:
         raise NotBipermutative("rule is not nearest-neighbour")
-    if not is_bipermutative(rule):
+    if not rule._bipermutative:
         raise NotBipermutative("rule is not bipermutative")
 
 

@@ -5,6 +5,12 @@ equalities and deviation reports carry no tolerance.  Entropies are the one
 float surface; they are assembled from an exact decomposition of log2 of
 each cylinder mass into prime parts, which keeps quantities like entropy
 increments of dyadic measures exactly representable.
+
+The sweeps (invariance, entropy, fibers, cosets, support) run on levels: the
+level of depth d holds every positive-mass word of length d as its base-N
+code, with integer numerators over one common denominator.  A pushforward's
+level d comes from its base's level d+1 in one vectorised step and one
+sort-and-sum, so a sweep costs the size of the support, not N**d.
 """
 from __future__ import annotations
 
@@ -12,13 +18,17 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from functools import cache
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .automaton import LocalRule, fiber_preimages, is_bipermutative
 from .errors import (AlphabetMismatch, AlphabetSizeMismatch, BadParams,
                      DepthTooLarge, NotASubgroup, NotBipermutative, ParseError,
                      WordTooShort, ZeroMassCondition)
 from .groups import GroupTable
+from .quasigroup import pack_digits, unpack_digits
 
 WORD_ENUMERATION_BOUND = 2 ** 20
 
@@ -26,13 +36,85 @@ Word = tuple[int, ...]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+_INT64_MAX = 2 ** 63 - 1
+
+
+def _dtype(bound: int):
+    """int64 for values up to ``bound`` when they fit, else Python ints."""
+    return object if bound > _INT64_MAX else np.int64
+
+
+def _fit(arr: np.ndarray, bound: int) -> np.ndarray:
+    """``arr`` widened to Python ints if values up to ``bound`` need it."""
+    return arr.astype(object) if _dtype(bound) is object else arr
+
+
+@dataclass(frozen=True, eq=False)
+class Level:
+    """The positive-mass words of length ``depth``: ascending base-N codes,
+    most significant symbol first (so code order is lexicographic order),
+    with masses ``nums / den``.
+
+    The arrays are int64 while their values fit and Python-int objects
+    beyond.  A numerator never exceeds its denominator, so a sum of masses
+    never overflows the width chosen for ``den``.
+    """
+
+    alphabet_size: int
+    depth: int
+    codes: np.ndarray
+    nums: np.ndarray
+    den: int
+
+
+def _words(n: int, depth: int, codes: np.ndarray) -> list[Word]:
+    """The length-``depth`` words with the given base-``n`` codes."""
+    if depth == 0:
+        return [()] * len(codes)
+    return list(zip(*(d.tolist() for d in unpack_digits(n, depth, codes))))
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stable order sorting ``keys``, and where each run of equal keys
+    starts in that order."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    new = np.ones(len(ordered), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    return order, np.flatnonzero(new)
+
+
+def _collect(n: int, depth: int, codes: np.ndarray, nums: np.ndarray,
+             den: int) -> tuple[Level, np.ndarray, np.ndarray]:
+    """The level holding, for each distinct code, the sum of its masses;
+    and the stable order and run starts that grouped the codes."""
+    order, starts = _runs(codes)
+    return (Level(n, depth, codes[order][starts],
+                  np.add.reduceat(nums[order], starts), den), order, starts)
+
+
+def _ca_image(rule: LocalRule, codes: np.ndarray, depth: int
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of step(w) and first symbols of w, for the length-(depth+1)
+    words w coded by ``codes``.  Each pair of neighbouring symbols is read
+    off the code as one base-N**2 digit and looked up in the flat table, so
+    only a few arrays of len(codes) are alive at once."""
+    n, flat = rule.alphabet_size, rule.table.ravel()
+    image = np.zeros_like(codes)
+    for k in range(depth - 1, -1, -1):
+        pair = (codes // n ** k % (n * n)).astype(np.int64, copy=False)
+        image *= n
+        image += flat[pair]
+    return image, (codes // n ** depth).astype(np.int64, copy=False)
+
 
 class CylinderMeasure:
     """Base evaluator: exact mass of the cylinder fixing a finite prefix.
 
-    Subclasses implement ``_eval`` for nonempty words; results are memoized.
-    All kinds satisfy right additivity, eval(w) = sum_b eval(w + (b,)),
-    which the traversal helpers rely on for pruning.
+    Subclasses implement ``_eval`` for nonempty words and may implement
+    ``_level`` for depths >= 1.  All kinds satisfy right additivity,
+    eval(w) = sum_b eval(w + (b,)), so a level built by extending the
+    previous one's support loses no positive word.
     """
 
     kind = "abstract"
@@ -41,7 +123,6 @@ class CylinderMeasure:
         if alphabet_size < 1:
             raise BadParams("alphabet size must be positive")
         self.alphabet_size = alphabet_size
-        self._cache: dict[Word, Fraction] = {}
 
     def eval(self, word: Sequence[int]) -> Fraction:
         w = tuple(int(s) for s in word)
@@ -50,32 +131,40 @@ class CylinderMeasure:
                 raise AlphabetMismatch(s, self.alphabet_size)
         if not w:
             return ONE
-        hit = self._cache.get(w)
-        if hit is None:
-            hit = self._cache[w] = self._eval(w)
-        return hit
+        return self._eval(w)
 
     def _eval(self, word: Word) -> Fraction:
         raise NotImplementedError
 
-    def positive_words(self, depth: int) -> Iterator[tuple[Word, Fraction]]:
-        """All positive-mass words of the given length, lexicographically.
-
-        Zero-mass subtrees are pruned, which additivity makes exact.
-        """
-        def rec(w: Word, p: Fraction):
-            if len(w) == depth:
-                yield w, p
-                return
-            for b in range(self.alphabet_size):
-                q = self.eval(w + (b,))
-                if q > 0:
-                    yield from rec(w + (b,), q)
-
+    def level(self, depth: int) -> Level:
+        """Every positive-mass word of length ``depth`` with its mass."""
+        if depth < 0:
+            raise BadParams("depth must be nonnegative")
         if depth == 0:
-            yield (), ONE
-            return
-        yield from rec((), ONE)
+            return Level(self.alphabet_size, 0, np.zeros(1, dtype=np.int64),
+                         np.ones(1, dtype=np.int64), 1)
+        return self._level(depth)
+
+    def _level(self, depth: int) -> Level:
+        # generic path: the N children of each previous positive word
+        n = self.alphabet_size
+        prev = self.level(depth - 1)
+        codes = (_fit(prev.codes, n ** depth)[:, None] * n
+                 + np.arange(n)).ravel()
+        masses = [self.eval(w) for w in _words(n, depth, codes)]
+        keep = [i for i, p in enumerate(masses) if p > 0]
+        den = math.lcm(*(masses[i].denominator for i in keep))
+        nums = [masses[i].numerator * (den // masses[i].denominator)
+                for i in keep]
+        return Level(n, depth, codes[keep], np.array(nums, dtype=_dtype(den)),
+                     den)
+
+    def positive_words(self, depth: int) -> Iterator[tuple[Word, Fraction]]:
+        """All positive-mass words of the given length, lexicographically."""
+        lv = self.level(depth)
+        for w, num in zip(_words(self.alphabet_size, depth, lv.codes),
+                          lv.nums.tolist()):
+            yield w, Fraction(num, lv.den)
 
     def describe(self) -> str:
         return self.kind
@@ -88,6 +177,35 @@ class UniformMeasure(CylinderMeasure):
 
     def _eval(self, word: Word) -> Fraction:
         return Fraction(1, self.alphabet_size ** len(word))
+
+    def _level(self, depth: int) -> Level:
+        size = self.alphabet_size ** depth
+        return Level(self.alphabet_size, depth, np.arange(size, dtype=np.int64),
+                     np.ones(size, dtype=np.int64), size)
+
+
+def _chain_level(initial: Sequence[Fraction],
+                 transition: Sequence[Sequence[Fraction]], depth: int) -> Level:
+    """Level of a Markov chain: each word is extended by the positive-weight
+    successors of its last symbol.  A single transition row serves every
+    symbol, which makes the chain Bernoulli."""
+    n = len(initial)
+    unit = math.lcm(*(v.denominator for v in initial),
+                    *(v.denominator for row in transition for v in row))
+    start = np.array([int(v * unit) for v in initial], dtype=_dtype(unit))
+    step = np.array([[int(v * unit) for v in row] for row in transition],
+                    dtype=_dtype(unit))
+    codes = np.flatnonzero(start)
+    nums, den = start[codes], unit
+    for d in range(1, depth):
+        den *= unit
+        codes, nums = _fit(codes, n ** (d + 1)), _fit(nums, den)
+        last = (codes % n).astype(np.int64) if len(step) > 1 else 0
+        kids = nums[:, None] * _fit(step, den)[last]
+        keep = kids > 0
+        codes = (codes[:, None] * n + np.arange(n))[keep]
+        nums = kids[keep]
+    return Level(n, depth, codes, nums, den)
 
 
 class BernoulliMeasure(CylinderMeasure):
@@ -107,6 +225,9 @@ class BernoulliMeasure(CylinderMeasure):
         for s in word:
             p *= self.weights[s]
         return p
+
+    def _level(self, depth: int) -> Level:
+        return _chain_level(self.weights, [self.weights], depth)
 
 
 class MarkovMeasure(CylinderMeasure):
@@ -134,6 +255,9 @@ class MarkovMeasure(CylinderMeasure):
             p *= self.transition[a][b]
         return p
 
+    def _level(self, depth: int) -> Level:
+        return _chain_level(self.initial, self.transition, depth)
+
 
 class OrbitMeasure(CylinderMeasure):
     """Uniform measure on the shift orbit of a periodic point."""
@@ -157,6 +281,14 @@ class OrbitMeasure(CylinderMeasure):
             if all(word[i] == pt[i % L] for i in range(len(word))):
                 hits += 1
         return Fraction(hits, len(self.points))
+
+    def _level(self, depth: int) -> Level:
+        n, pts = self.alphabet_size, np.array(self.points)
+        prefixes = _fit(np.zeros(len(pts), dtype=np.int64), n ** depth)
+        for i in range(depth):
+            prefixes = prefixes * n + pts[:, i % pts.shape[1]]
+        codes, hits = np.unique(prefixes, return_counts=True)
+        return Level(n, depth, codes, hits.astype(np.int64), len(pts))
 
 
 class ProductMeasure(CylinderMeasure):
@@ -192,6 +324,25 @@ class ProductMeasure(CylinderMeasure):
         rw = tuple(self.pairing[s][1] for s in word)
         return self.left.eval(lw) * self.right.eval(rw)
 
+    def _level(self, depth: int) -> Level:
+        n = self.alphabet_size
+        lv, rv = self.left.level(depth), self.right.level(depth)
+        symbol = np.empty((lv.alphabet_size, rv.alphabet_size), dtype=np.int64)
+        for s, (a, b) in enumerate(self.pairing):
+            symbol[a, b] = s
+        # every pair (left word i, right word j), combined symbol by symbol
+        i = np.repeat(np.arange(len(lv.codes)), len(rv.codes))
+        j = np.tile(np.arange(len(rv.codes)), len(lv.codes))
+        digits = zip(unpack_digits(lv.alphabet_size, depth, lv.codes),
+                     unpack_digits(rv.alphabet_size, depth, rv.codes))
+        codes = pack_digits(n, [_fit(symbol[a.astype(np.int64)[i],
+                                            b.astype(np.int64)[j]], n ** depth)
+                                for a, b in digits])
+        den = lv.den * rv.den
+        nums = _fit(lv.nums, den)[i] * _fit(rv.nums, den)[j]
+        order = np.argsort(codes)
+        return Level(n, depth, codes[order], nums[order], den)
+
 
 class CaPushforward(CylinderMeasure):
     """Image measure under a bipermutative nearest-neighbour rule.
@@ -217,6 +368,12 @@ class CaPushforward(CylinderMeasure):
         return sum((self.base.eval(f)
                     for f in fiber_preimages(self.rule, word)), ZERO)
 
+    def _level(self, depth: int) -> Level:
+        base = self.base.level(depth + 1)
+        image, _ = _ca_image(self.rule, base.codes, depth)
+        return _collect(self.alphabet_size, depth, image, base.nums,
+                        base.den)[0]
+
 
 class ShiftPushforward(CylinderMeasure):
     """Image measure under the one-sided shift: eval(w) = sum_b base(b + w)."""
@@ -230,6 +387,12 @@ class ShiftPushforward(CylinderMeasure):
     def _eval(self, word: Word) -> Fraction:
         return sum((self.base.eval((b,) + word)
                     for b in range(self.alphabet_size)), ZERO)
+
+    def _level(self, depth: int) -> Level:
+        base = self.base.level(depth + 1)
+        return _collect(self.alphabet_size, depth,
+                        base.codes % self.alphabet_size ** depth,
+                        base.nums, base.den)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +417,11 @@ def _check_depth(alphabet_size: int, depth: int) -> None:
         raise DepthTooLarge(alphabet_size, depth, WORD_ENUMERATION_BOUND)
 
 
+def _word(lv: Level, code) -> Word:
+    return tuple(int(s) for s in
+                 unpack_digits(lv.alphabet_size, lv.depth, int(code)))
+
+
 @dataclass(frozen=True)
 class InvarianceReport:
     transform: str
@@ -262,45 +430,45 @@ class InvarianceReport:
     worst_word: Word | None
 
 
+def _max_deviation(a: Level, b: Level) -> tuple[Fraction, Word | None]:
+    """max |a(w) - b(w)| over all words, and the first word reaching it
+    (None when the levels agree)."""
+    den = math.lcm(a.den, b.den)
+    codes = np.concatenate((a.codes, b.codes))
+    order, starts = _runs(codes)
+    codes = codes[order][starts]
+    diff = np.zeros(len(codes), dtype=_dtype(den))
+    diff[np.searchsorted(codes, a.codes)] = _fit(a.nums, den) * (den // a.den)
+    diff[np.searchsorted(codes, b.codes)] -= _fit(b.nums, den) * (den // b.den)
+    diff = np.abs(diff)
+    top = int(np.argmax(diff))
+    if diff[top] == 0:
+        return ZERO, None
+    return Fraction(int(diff[top]), den), _word(a, codes[top])
+
+
 def invariance_report(m: CylinderMeasure, depth: int,
                       rule: LocalRule | None = None) -> InvarianceReport:
     """Exact maximum of |pushforward(w) - m(w)| over all words of the depth.
 
-    ``rule`` selects the CA pushforward; None selects the shift.
+    ``rule`` selects the CA pushforward; None selects the shift.  The worst
+    word is the lexicographically first one reaching the maximum.
     """
     _check_depth(m.alphabet_size, depth)
     pushed = pushforward_shift(m) if rule is None else pushforward_ca(m, rule)
-    best, best_word = ZERO, None
-
-    def rec(w: Word):
-        nonlocal best, best_word
-        p, q = m.eval(w), pushed.eval(w)
-        if len(w) == depth:
-            d = abs(p - q)
-            if d > best:
-                best, best_word = d, w
-            return
-        if p == 0 and q == 0:
-            return
-        for b in range(m.alphabet_size):
-            rec(w + (b,))
-
-    rec(())
+    dev, worst = _max_deviation(m.level(depth), pushed.level(depth))
     return InvarianceReport("shift" if rule is None else "ca",
-                            depth, best, best_word)
+                            depth, dev, worst)
 
 
 # --- exact entropy machinery ------------------------------------------------
 
 _TRIAL_LIMIT = 10 ** 6
-_factor_cache: dict[int, tuple[tuple[int, int], ...]] = {}
 
 
 def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     """(base, exponent) pairs for n >= 1; a cofactor above the trial bound
     is kept whole, which only coarsens cross-depth cancellation."""
-    if n in _factor_cache:
-        return _factor_cache[n]
     rem, out = n, []
     for d in (2, 3):
         e = 0
@@ -320,26 +488,30 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
         d += 2
     if rem > 1:
         out.append((rem, 1))
-    result = tuple(out)
-    if n <= 10 ** 12:
-        _factor_cache[n] = result
-    return result
+    return tuple(out)
 
 
-def _log2_exponents(value: Fraction) -> tuple[tuple[int, int], ...]:
+def _log2_exponents(value: Fraction,
+                    factorize: Callable[[int], tuple] = _factorize
+                    ) -> tuple[tuple[int, int], ...]:
     """log2(value) = sum exponent * log2(base) over the returned pairs."""
-    pairs = dict(_factorize(value.numerator))
-    for base, e in _factorize(value.denominator):
+    pairs = dict(factorize(value.numerator))
+    for base, e in factorize(value.denominator):
         pairs[base] = pairs.get(base, 0) - e
     return tuple(sorted(pairs.items()))
 
 
-def _entropy_combo(m: CylinderMeasure, depth: int) -> dict[int, Fraction]:
-    """H_depth as an exact linear combination {base: coeff} of log2(base)."""
+def _entropy_combo(lv: Level) -> dict[int, Fraction]:
+    """H_depth of a level as an exact linear combination {base: coeff} of
+    log2(base).  Each distinct mass is factorized once, and each
+    denominator once per call."""
+    factorize = cache(_factorize)
+    values, counts = np.unique(lv.nums, return_counts=True)
     combo: dict[int, Fraction] = {}
-    for _, p in m.positive_words(depth):
-        for base, e in _log2_exponents(p):
-            combo[base] = combo.get(base, ZERO) - p * e
+    for num, count in zip(values.tolist(), counts.tolist()):
+        p = Fraction(num, lv.den)
+        for base, e in _log2_exponents(p, factorize):
+            combo[base] = combo.get(base, ZERO) - count * e * p
     return {b: c for b, c in combo.items() if c != 0}
 
 
@@ -364,7 +536,7 @@ def _combo_sub(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Frac
 def block_entropy(m: CylinderMeasure, depth: int) -> float:
     """H_depth = -sum p log2 p over length-``depth`` cylinders, in bits."""
     _check_depth(m.alphabet_size, depth)
-    return _combo_float(_entropy_combo(m, depth))
+    return _combo_float(_entropy_combo(m.level(depth)))
 
 
 def entropy_rate_profile(m: CylinderMeasure, n_max: int) -> list[float]:
@@ -376,7 +548,7 @@ def entropy_rate_profile(m: CylinderMeasure, n_max: int) -> list[float]:
     if n_max < 2:
         return []
     _check_depth(m.alphabet_size, n_max)
-    combos = [_entropy_combo(m, k) for k in range(1, n_max + 1)]
+    combos = [_entropy_combo(m.level(k)) for k in range(1, n_max + 1)]
     return [_combo_float(_combo_sub(combos[k + 1], combos[k]))
             for k in range(n_max - 1)]
 
@@ -395,6 +567,12 @@ def conditional_dist(m: CylinderMeasure, word: Sequence[int]) -> list[Fraction]:
     return [m.eval((b,) + a) / mass for b in range(m.alphabet_size)]
 
 
+def _at_least(lv: Level, floor) -> np.ndarray:
+    """Mask of the level's words whose mass is at least ``floor``."""
+    f = Fraction(floor)
+    return lv.nums >= -(-f.numerator * lv.den // f.denominator)
+
+
 @dataclass(frozen=True)
 class CosetMeasureReport:
     depth: int
@@ -407,6 +585,29 @@ class CosetMeasureReport:
     shift_deviation: Fraction
 
 
+def _require_subgroup(g: GroupTable, members: tuple[int, ...]) -> None:
+    """Raise NotASubgroup at the first member, in order, whose inverse or
+    product row leaves the set."""
+    if not members:
+        raise NotASubgroup(members, "empty")
+    if g.identity not in members:
+        raise NotASubgroup(members, "missing identity")
+    idx = np.array(members)
+    inside = np.zeros(g.order, dtype=bool)
+    inside[idx] = True
+    inv_ok = inside[np.asarray(g.inverse)[idx]]
+    closed = inside[g.table[np.ix_(idx, idx)]]
+    bad = ~inv_ok | ~closed.all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not inv_ok[i]:
+            raise NotASubgroup(members,
+                               f"not closed under inverse at {members[i]}")
+        j = int(np.argmin(closed[i]))
+        raise NotASubgroup(members,
+                           f"not closed at ({members[i]}, {members[j]})")
+
+
 def coset_measure_check(m: CylinderMeasure, g: GroupTable,
                         subgroup_members: Sequence[int], depth: int,
                         mass_floor: Fraction = ZERO) -> CosetMeasureReport:
@@ -416,43 +617,61 @@ def coset_measure_check(m: CylinderMeasure, g: GroupTable,
     conditional distribution of the preceding symbol must be supported on a
     single right coset C.x and assign 1/|C| to each member.  The shift
     deviation at the same depth is embedded, since the statement presumes a
-    shift-invariant measure.
+    shift-invariant measure.  Words are checked in lexicographic order and
+    the first failure is reported.
     """
     if m.alphabet_size != g.order:
         raise AlphabetSizeMismatch("group", g.order,
                                    "measure alphabet", m.alphabet_size)
     members = tuple(sorted({int(c) for c in subgroup_members}))
-    if not members:
-        raise NotASubgroup(members, "empty")
-    if g.identity not in members:
-        raise NotASubgroup(members, "missing identity")
-    mset = set(members)
-    for a in members:
-        if g.inv(a) not in mset:
-            raise NotASubgroup(members, f"not closed under inverse at {a}")
-        for b in members:
-            if g.mul(a, b) not in mset:
-                raise NotASubgroup(members, f"not closed at ({a}, {b})")
+    _require_subgroup(g, members)
     _check_depth(m.alphabet_size, depth)
 
-    target = Fraction(1, len(members))
-    checked = 0
-    worst: tuple[Word, str] | None = None
-    for w, mass in m.positive_words(depth):
-        if mass < mass_floor:
-            continue
-        checked += 1
-        dist = conditional_dist(m, w)
-        support = [b for b in range(g.order) if dist[b] > 0]
-        coset = sorted(g.mul(c, support[0]) for c in members)
+    own = m.level(depth)
+    picked = np.flatnonzero(_at_least(own, mass_floor))
+    if depth == 0 and len(picked):
+        raise WordTooShort(0, 1)     # the empty word has no conditional
+    # runs of the words b + w grouped by w, each ordered by b; summed, they
+    # are the shift pushforward, whose deviation the report embeds
+    ext, size, k = m.level(depth + 1), m.alphabet_size ** depth, len(members)
+    shifted, order, starts = _collect(m.alphabet_size, depth, ext.codes % size,
+                                      ext.nums, ext.den)
+    ends = np.append(starts[1:], len(order))
+    before = (ext.codes[order] // size).astype(np.int64, copy=False)
+    nums = ext.nums[order]
+    # a run passes if it is one right coset C.x and every weight is 1/|C|
+    coset_id = g.table[np.array(members)].min(axis=0)[before]
+    coset_ok = (np.minimum.reduceat(coset_id, starts)
+                == np.maximum.reduceat(coset_id, starts)) & (ends - starts == k)
+    den = math.lcm(own.den, ext.den)
+    scaled = _fit(nums, den * k) * (den // ext.den * k)
+    pos = np.searchsorted(shifted.codes, own.codes)
+    found = pos < len(starts)
+    found[found] = shifted.codes[pos[found]] == own.codes[found]
+    want = np.zeros(len(starts), dtype=scaled.dtype)
+    want[pos[found]] = _fit(own.nums[found], den * k) * (den // own.den)
+    weight_ok = (np.minimum.reduceat(scaled, starts) == want) \
+        & (np.maximum.reduceat(scaled, starts) == want)
+    ok = found[picked]
+    ok[ok] = (coset_ok & weight_ok)[pos[picked][ok]]
+
+    checked, worst = len(picked), None
+    if not ok.all():
+        first = int(np.argmin(ok))
+        checked = first + 1
+        i = int(picked[first])
+        run = slice(starts[pos[i]], ends[pos[i]]) if found[i] else slice(0, 0)
+        support = before[run].tolist()
+        coset = sorted(int(g.table[c, support[0]]) for c in members)
         if support != coset:
-            worst = (w, f"support {support} is not the coset {coset}")
-            break
-        bad = [b for b in support if dist[b] != target]
-        if bad:
-            worst = (w, f"weight at {bad[0]} is {dist[bad[0]]}, expected {target}")
-            break
-    shift_dev = invariance_report(m, depth).max_abs_deviation
+            reason = f"support {support} is not the coset {coset}"
+        else:
+            mass, target = Fraction(int(own.nums[i]), own.den), Fraction(1, k)
+            dist = [Fraction(v, ext.den) / mass for v in nums[run].tolist()]
+            bad = next(j for j, v in enumerate(dist) if v != target)
+            reason = f"weight at {support[bad]} is {dist[bad]}, expected {target}"
+        worst = (_word(own, own.codes[i]), reason)
+    shift_dev, _ = _max_deviation(own, shifted)
     return CosetMeasureReport(
         depth=depth, mass_floor=mass_floor, subgroup=members,
         passed=worst is None, words_checked=checked,
@@ -489,29 +708,42 @@ def fiber_spectrum(m: CylinderMeasure, rule: LocalRule, depth: int,
     support count K, the common positive weight if one exists, and the gap
     |log2 K - (H_{depth+1} - H_depth)|.  The CA-invariance deviation at this
     depth is embedded since the K-to-1 statement presumes invariance.
-    """
-    pushed = pushforward_ca(m, rule)
-    _check_depth(m.alphabet_size, depth + 1)
-    rows = []
-    for w, total in pushed.positive_words(depth):
-        if total < mass_floor:
-            continue
-        masses = [m.eval(f) for f in fiber_preimages(rule, w)]
-        weights = tuple(v / total for v in masses)
-        rows.append(FiberRow(w, total, sum(1 for v in weights if v > 0), weights))
 
+    The fiber of an image word w is the set of base words x with
+    step(x) = w, indexed by x's first symbol; grouping the base level by
+    image code lists every fiber's positive members in that order.
+    """
+    pushforward_ca(m, rule)     # validates the rule against the measure
+    _check_depth(m.alphabet_size, depth)
+    _check_depth(m.alphabet_size, depth + 1)
+    n = m.alphabet_size
+    base = m.level(depth + 1)
+    image, first = _ca_image(rule, base.codes, depth)
+    pushed, order, starts = _collect(n, depth, image, base.nums, base.den)
+    words = _words(n, depth, pushed.codes)
+    totals, nums = pushed.nums.tolist(), base.nums[order].tolist()
+    firsts, bounds = first[order].tolist(), starts.tolist() + [len(order)]
+    rows = []
+    for r in np.flatnonzero(_at_least(pushed, mass_floor)).tolist():
+        weights = [ZERO] * n
+        for t in range(bounds[r], bounds[r + 1]):
+            weights[firsts[t]] = Fraction(nums[t], totals[r])
+        rows.append(FiberRow(words[r], Fraction(totals[r], base.den),
+                             bounds[r + 1] - bounds[r], tuple(weights)))
+
+    own = m.level(depth)
     if rows:
         counts = Counter(r.support_count for r in rows)
         top = max(counts.values())
         k_est = min(k for k, c in counts.items() if c == top)
         positive = {v for r in rows for v in r.weights if v > 0}
         eta = positive.pop() if len(positive) == 1 else None
-        inc = _combo_sub(_entropy_combo(m, depth + 1), _entropy_combo(m, depth))
+        inc = _combo_sub(_entropy_combo(base), _entropy_combo(own))
         target = {b: Fraction(e) for b, e in _factorize(k_est)}
         check = abs(_combo_float(_combo_sub(inc, target)))
     else:
         k_est, eta, check = 0, None, float("nan")
-    dev = invariance_report(m, depth, rule).max_abs_deviation
+    dev, _ = _max_deviation(own, pushed)
     return FiberReport(depth=depth, mass_floor=mass_floor, rows=tuple(rows),
                        K_estimate=k_est, eta_constant=eta,
                        entropy_check=check, invariance_deviation=dev)
@@ -523,22 +755,16 @@ def support_alphabet(m: CylinderMeasure, depth: int
     ``depth`` word over them has positive mass."""
     if depth < 2:
         raise BadParams("support check needs depth >= 2")
-    symbols = [b for b in range(m.alphabet_size) if m.eval((b,)) > 0]
+    symbols = m.level(1).codes.tolist()
     if len(symbols) ** depth > WORD_ENUMERATION_BOUND:
         raise DepthTooLarge(len(symbols), depth, WORD_ENUMERATION_BOUND)
-    full = True
-
-    def rec(w: Word) -> bool:
-        if len(w) == depth:
-            return True
-        for b in symbols:
-            ext = w + (b,)
-            if m.eval(ext) == 0 or not rec(ext):
-                return False
-        return True
-
-    full = rec(())
-    return frozenset(symbols), full
+    lv = m.level(depth)
+    inside = np.zeros(m.alphabet_size, dtype=bool)
+    inside[symbols] = True
+    over = np.ones(len(lv.codes), dtype=bool)
+    for digit in unpack_digits(m.alphabet_size, depth, lv.codes):
+        over &= inside[digit.astype(np.int64)]
+    return frozenset(symbols), int(over.sum()) == len(symbols) ** depth
 
 
 _QUATERNION_IJK = (2, 4, 6)   # indices of i, j, k in the builtin table

@@ -227,11 +227,12 @@ def pack_digits(base: int, digits):
 
 def unpack_digits(base: int, width: int, value) -> tuple:
     """The ``width`` base-``base`` digits of ``value``, most significant
-    first.  For an integer array ``value`` each digit is an array."""
+    first.  For an integer array ``value`` each digit is an array; object
+    arrays of Python ints work too."""
     out = []
     for _ in range(width):
-        value, r = divmod(value, base)
-        out.append(r)
+        out.append(value % base)
+        value = value // base
     return tuple(reversed(out))
 
 

@@ -1,9 +1,14 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from qgca import automaton as ca
 from qgca import quasigroup as qg
+
+# property tests draw the same examples on every run
+settings.register_profile("qgca", derandomize=True, deadline=None)
+settings.load_profile("qgca")
 
 
 @pytest.fixture

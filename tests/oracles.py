@@ -2,14 +2,26 @@
 
 These deliberately avoid the library's own enumeration strategies: closed
 subsets by bitmask scan, pushforwards by full preimage enumeration, and
-invariant factors by Smith normal form of xI - M over F_p[x].
+invariant factors by Smith normal form of xI - M over F_p[x].  The measure
+sweeps are the recursive per-word engine the level arrays replaced: a
+depth-first walk over words in lexicographic order, pruning zero-mass
+subtrees, with every mass from ``CylinderMeasure.eval``.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
+from qgca.errors import (AlphabetSizeMismatch, BadParams, DepthTooLarge,
+                         NotASubgroup)
 from qgca.matfp import MatrixFp, Poly, p_divmod, p_monic, p_mul, p_norm, p_sub
+from qgca.measure import (WORD_ENUMERATION_BOUND, ZERO, ONE,
+                          CosetMeasureReport, FiberReport, FiberRow,
+                          InvarianceReport, _check_depth, _combo_float,
+                          _combo_sub, _factorize, _log2_exponents,
+                          conditional_dist, pushforward_ca, pushforward_shift)
 
 
 def closed_subsets_bitmask(rows) -> list[tuple[int, ...]]:
@@ -137,3 +149,178 @@ def snf_invariant_factors(m: MatrixFp) -> tuple[Poly, ...]:
 
     factors = [p_monic(E[i][i], p) for i in range(n) if E[i][i]]
     return tuple(f for f in factors if len(f) >= 2)
+
+
+# ---------------------------------------------------------------------------
+# the recursive per-word measure engine
+
+def positive_words(m, depth):
+    """All positive-mass words of the given length, lexicographically.
+
+    Zero-mass subtrees are pruned, which additivity makes exact.
+    """
+    def rec(w, p):
+        if len(w) == depth:
+            yield w, p
+            return
+        for b in range(m.alphabet_size):
+            q = m.eval(w + (b,))
+            if q > 0:
+                yield from rec(w + (b,), q)
+
+    if depth == 0:
+        yield (), ONE
+        return
+    yield from rec((), ONE)
+
+
+def invariance_report(m, depth, rule=None):
+    """Exact maximum of |pushforward(w) - m(w)| over all words of the depth.
+
+    ``rule`` selects the CA pushforward; None selects the shift.
+    """
+    _check_depth(m.alphabet_size, depth)
+    pushed = pushforward_shift(m) if rule is None else pushforward_ca(m, rule)
+    best, best_word = ZERO, None
+
+    def rec(w):
+        nonlocal best, best_word
+        p, q = m.eval(w), pushed.eval(w)
+        if len(w) == depth:
+            d = abs(p - q)
+            if d > best:
+                best, best_word = d, w
+            return
+        if p == 0 and q == 0:
+            return
+        for b in range(m.alphabet_size):
+            rec(w + (b,))
+
+    rec(())
+    return InvarianceReport("shift" if rule is None else "ca",
+                            depth, best, best_word)
+
+
+_factorize_cached = cache(_factorize)
+
+
+def entropy_combo(m, depth):
+    """H_depth as an exact linear combination {base: coeff} of log2(base)."""
+    combo = {}
+    for _, p in positive_words(m, depth):
+        for base, e in _log2_exponents(p, _factorize_cached):
+            combo[base] = combo.get(base, ZERO) - p * e
+    return {b: c for b, c in combo.items() if c != 0}
+
+
+def block_entropy(m, depth):
+    _check_depth(m.alphabet_size, depth)
+    return _combo_float(entropy_combo(m, depth))
+
+
+def entropy_rate_profile(m, n_max):
+    if n_max < 2:
+        return []
+    _check_depth(m.alphabet_size, n_max)
+    combos = [entropy_combo(m, k) for k in range(1, n_max + 1)]
+    return [_combo_float(_combo_sub(combos[k + 1], combos[k]))
+            for k in range(n_max - 1)]
+
+
+def coset_measure_check(m, g, subgroup_members, depth, mass_floor=ZERO):
+    """Check that conditional distributions are uniform on right cosets."""
+    if m.alphabet_size != g.order:
+        raise AlphabetSizeMismatch("group", g.order,
+                                   "measure alphabet", m.alphabet_size)
+    members = tuple(sorted({int(c) for c in subgroup_members}))
+    if not members:
+        raise NotASubgroup(members, "empty")
+    if g.identity not in members:
+        raise NotASubgroup(members, "missing identity")
+    mset = set(members)
+    for a in members:
+        if g.inv(a) not in mset:
+            raise NotASubgroup(members, f"not closed under inverse at {a}")
+        for b in members:
+            if g.mul(a, b) not in mset:
+                raise NotASubgroup(members, f"not closed at ({a}, {b})")
+    _check_depth(m.alphabet_size, depth)
+
+    target = Fraction(1, len(members))
+    checked = 0
+    worst = None
+    for w, mass in positive_words(m, depth):
+        if mass < mass_floor:
+            continue
+        checked += 1
+        dist = conditional_dist(m, w)
+        support = [b for b in range(g.order) if dist[b] > 0]
+        coset = sorted(g.mul(c, support[0]) for c in members)
+        if support != coset:
+            worst = (w, f"support {support} is not the coset {coset}")
+            break
+        bad = [b for b in support if dist[b] != target]
+        if bad:
+            worst = (w, f"weight at {bad[0]} is {dist[bad[0]]}, expected {target}")
+            break
+    shift_dev = invariance_report(m, depth).max_abs_deviation
+    return CosetMeasureReport(
+        depth=depth, mass_floor=mass_floor, subgroup=members,
+        passed=worst is None, words_checked=checked,
+        worst_word=None if worst is None else worst[0],
+        worst_reason=None if worst is None else worst[1],
+        shift_deviation=shift_dev)
+
+
+def fiber_spectrum(m, rule, depth, mass_floor=ZERO):
+    """Conditional weights of the N fiber preimages over each image word."""
+    from qgca.automaton import fiber_preimages
+
+    pushed = pushforward_ca(m, rule)
+    _check_depth(m.alphabet_size, depth + 1)
+    rows = []
+    for w, total in positive_words(pushed, depth):
+        if total < mass_floor:
+            continue
+        masses = [m.eval(f) for f in fiber_preimages(rule, w)]
+        weights = tuple(v / total for v in masses)
+        rows.append(FiberRow(w, total, sum(1 for v in weights if v > 0), weights))
+
+    if rows:
+        counts = Counter(r.support_count for r in rows)
+        top = max(counts.values())
+        k_est = min(k for k, c in counts.items() if c == top)
+        positive = {v for r in rows for v in r.weights if v > 0}
+        eta = positive.pop() if len(positive) == 1 else None
+        inc = _combo_sub(entropy_combo(m, depth + 1), entropy_combo(m, depth))
+        target = {b: Fraction(e) for b, e in _factorize(k_est)}
+        check = abs(_combo_float(_combo_sub(inc, target)))
+    else:
+        k_est, eta, check = 0, None, float("nan")
+    dev = invariance_report(m, depth, rule).max_abs_deviation
+    return FiberReport(depth=depth, mass_floor=mass_floor, rows=tuple(rows),
+                       K_estimate=k_est, eta_constant=eta,
+                       entropy_check=check, invariance_deviation=dev)
+
+
+def support_alphabet(m, depth):
+    """Symbols of positive single-site mass, and whether every length-
+    ``depth`` word over them has positive mass."""
+    if depth < 2:
+        raise BadParams("support check needs depth >= 2")
+    symbols = [b for b in range(m.alphabet_size) if m.eval((b,)) > 0]
+    if len(symbols) ** depth > WORD_ENUMERATION_BOUND:
+        raise DepthTooLarge(len(symbols), depth, WORD_ENUMERATION_BOUND)
+    full = True
+
+    def rec(w):
+        if len(w) == depth:
+            return True
+        for b in symbols:
+            ext = w + (b,)
+            if m.eval(ext) == 0 or not rec(ext):
+                return False
+        return True
+
+    full = rec(())
+    return frozenset(symbols), full

@@ -94,6 +94,18 @@ def test_recode_preserves_bipermutativity(rng):
     assert not ca.is_bipermutative(ca.recode_block(proj).rule)
 
 
+def test_bipermutativity_is_checked_once_per_rule(monkeypatch, d7):
+    calls = []
+    real = ca.is_left_permutative
+    monkeypatch.setattr(ca, "is_left_permutative",
+                        lambda rule: calls.append(rule) or real(rule))
+    rule = ca.from_quasigroup(d7)
+    for _ in range(100):
+        ca.fiber_preimages(rule, (0, 1, 2))
+    assert ca.is_bipermutative(rule)
+    assert len(calls) == 1
+
+
 def test_recode_needs_width():
     rule = ca.make_rule(2, 0, 0, [0, 1])
     with pytest.raises(ParseError):
