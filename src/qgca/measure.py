@@ -6,7 +6,7 @@ float surface; they are assembled from an exact decomposition of log2 of
 each cylinder mass into prime parts, which keeps quantities like entropy
 increments of dyadic measures exactly representable.
 
-The sweeps (invariance, entropy, fibers, cosets, support) run on levels: the
+The sweeps (invariance, entropy, fibers, cosets) run on levels: the
 level of depth d holds every positive-mass word of length d as its base-N
 code, with integer numerators over one common denominator.  A pushforward's
 level d comes from its base's level d+1 in one vectorised step and one
@@ -14,6 +14,7 @@ sort-and-sum, so a sweep costs the size of the support, not N**d.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -187,8 +188,7 @@ class UniformMeasure(CylinderMeasure):
 def _chain_level(initial: Sequence[Fraction],
                  transition: Sequence[Sequence[Fraction]], depth: int) -> Level:
     """Level of a Markov chain: each word is extended by the positive-weight
-    successors of its last symbol.  A single transition row serves every
-    symbol, which makes the chain Bernoulli."""
+    successors of its last symbol."""
     n = len(initial)
     unit = math.lcm(*(v.denominator for v in initial),
                     *(v.denominator for row in transition for v in row))
@@ -200,8 +200,7 @@ def _chain_level(initial: Sequence[Fraction],
     for d in range(1, depth):
         den *= unit
         codes, nums = _fit(codes, n ** (d + 1)), _fit(nums, den)
-        last = (codes % n).astype(np.int64) if len(step) > 1 else 0
-        kids = nums[:, None] * _fit(step, den)[last]
+        kids = nums[:, None] * _fit(step, den)[(codes % n).astype(np.int64)]
         keep = kids > 0
         codes = (codes[:, None] * n + np.arange(n))[keep]
         nums = kids[keep]
@@ -227,7 +226,8 @@ class BernoulliMeasure(CylinderMeasure):
         return p
 
     def _level(self, depth: int) -> Level:
-        return _chain_level(self.weights, [self.weights], depth)
+        return _chain_level(self.weights, [self.weights] * self.alphabet_size,
+                            depth)
 
 
 class MarkovMeasure(CylinderMeasure):
@@ -758,13 +758,10 @@ def support_alphabet(m: CylinderMeasure, depth: int
     symbols = m.level(1).codes.tolist()
     if len(symbols) ** depth > WORD_ENUMERATION_BOUND:
         raise DepthTooLarge(len(symbols), depth, WORD_ENUMERATION_BOUND)
-    lv = m.level(depth)
-    inside = np.zeros(m.alphabet_size, dtype=bool)
-    inside[symbols] = True
-    over = np.ones(len(lv.codes), dtype=bool)
-    for digit in unpack_digits(m.alphabet_size, depth, lv.codes):
-        over &= inside[digit.astype(np.int64)]
-    return frozenset(symbols), int(over.sum()) == len(symbols) ** depth
+    # per-word walk over S only: the level at ``depth`` of a measure that is
+    # not shift-invariant can hold far more than |S|**depth words
+    words = itertools.product(symbols, repeat=depth)
+    return frozenset(symbols), all(m.eval(w) > 0 for w in words)
 
 
 _QUATERNION_IJK = (2, 4, 6)   # indices of i, j, k in the builtin table

@@ -239,3 +239,15 @@ def test_negative_depths_are_rejected(xor_rule):
         next(m.positive_words(-1))
     with pytest.raises(BadParams):
         mu.fiber_spectrum(m, xor_rule, -1)
+
+
+def test_support_check_stays_within_the_support_alphabet():
+    # started at 0, so S = {0}, but level d holds 30**(d-1) words
+    n, depth = 30, 12
+    m = mu.MarkovMeasure([F(1)] + [F(0)] * (n - 1), [[F(1, n)] * n] * n)
+    assert mu.support_alphabet(m, depth) == (frozenset({0}), True)
+    assert mu.support_alphabet(m, depth) == oracles.support_alphabet(m, depth)
+    # 0 -> 0 is forbidden: S = {0, 1}, and the word 00 has no mass
+    m = mu.MarkovMeasure([F(1, 2), F(1, 2), F(0)],
+                         [[F(0), F(1, 2), F(1, 2)]] + [[F(1, 3)] * 3] * 2)
+    assert mu.support_alphabet(m, depth) == (frozenset({0, 1}), False)
