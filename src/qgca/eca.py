@@ -44,6 +44,33 @@ def _check_alphabet(rule: LocalRule, g: GroupTable) -> None:
                                    "group", g.order)
 
 
+def _first(mask: np.ndarray) -> tuple[int, ...] | None:
+    """Row-major index of the first True entry of mask, or None."""
+    i = int(mask.argmax())
+    if not mask.flat[i]:
+        return None
+    return tuple(int(v) for v in np.unravel_index(i, mask.shape))
+
+
+def _non_endomorphism(img: np.ndarray, gt: np.ndarray) -> tuple[int, ...] | None:
+    """The first row-major (a, b) with img(a.b) != img(a).img(b), or None."""
+    return _first(img[gt] != gt[np.ix_(img, img)])
+
+
+def _affine_fault(t: np.ndarray, gt: np.ndarray, phi0: np.ndarray,
+                  phi1: np.ndarray) -> tuple[str, tuple[int, ...]] | None:
+    """("affine", (a, b)) for the first pair with t(a, b) != phi0(a).phi1(b),
+    else ("phi0" or "phi1", witness) for a map that is no endomorphism."""
+    bad = _first(t != gt[np.ix_(phi0, phi1)])
+    if bad is not None:
+        return "affine", bad
+    for name, img in (("phi0", phi0), ("phi1", phi1)):
+        bad = _non_endomorphism(img, gt)
+        if bad is not None:
+            return name, bad
+    return None
+
+
 def decompose_affine(rule: LocalRule, g: GroupTable) -> AffineDecomposition:
     """Split a rule over an abelian group into its two endomorphism tables.
 
@@ -54,21 +81,14 @@ def decompose_affine(rule: LocalRule, g: GroupTable) -> AffineDecomposition:
     _check_alphabet(rule, g)
     if not g.abelian:
         raise BadParams("affine decomposition needs an abelian group")
-    t = rule.table.astype(np.int64)
-    gt = g.table.astype(np.int64)
-    e = g.identity
-    phi0 = t[:, e]
-    phi1 = t[e, :]
-    expected = gt[phi0][:, phi1]
-    bad = np.argwhere(t != expected)
-    if bad.size:
-        raise NotAffine(tuple(int(v) for v in bad[0]))
-    for name, img in (("phi0", phi0), ("phi1", phi1)):
-        lhs = img[gt]
-        rhs = gt[img][:, img]
-        bad = np.argwhere(lhs != rhs)
-        if bad.size:
-            raise NotEndomorphism(name, tuple(int(v) for v in bad[0]))
+    t, e = rule.table, g.identity
+    phi0, phi1 = t[:, e], t[e, :]
+    fault = _affine_fault(t, g.table, phi0, phi1)
+    if fault is not None:
+        name, witness = fault
+        if name == "affine":
+            raise NotAffine(witness)
+        raise NotEndomorphism(name, witness)
     auto0 = len(set(phi0.tolist())) == g.order
     auto1 = len(set(phi1.tolist())) == g.order
     biperm = is_bipermutative(rule)
@@ -100,36 +120,47 @@ def _verify_endomorphic(rule: LocalRule, g: GroupTable) -> None:
     phi(e,.), both are endomorphisms, and their images commute elementwise.
     Over a product group shift the two tests accept the same rules.
     """
-    t = rule.table.astype(np.int64)
-    gt = g.table.astype(np.int64)
-    e = g.identity
-    n = g.order
+    t, gt, e, n = rule.table, g.table, g.identity, g.order
     if int(t[e, e]) != e:
         raise NotEndomorphicCA((e, e, e, e))
-    phi0 = t[:, e]
-    phi1 = t[e, :]
-    bad = np.argwhere(t != gt[phi0][:, phi1])
-    if bad.size:
-        a, b = (int(v) for v in bad[0])
-        raise NotEndomorphicCA((a, e, e, b))
-    bad = np.argwhere(phi0[gt] != gt[phi0][:, phi0])
-    if bad.size:
-        a, a2 = (int(v) for v in bad[0])
-        raise NotEndomorphicCA((a, a2, e, e))
-    bad = np.argwhere(phi1[gt] != gt[phi1][:, phi1])
-    if bad.size:
-        b, b2 = (int(v) for v in bad[0])
-        raise NotEndomorphicCA((e, e, b, b2))
-    bad = np.argwhere(gt[phi0][:, phi1] != gt[phi1][:, phi0].T)
-    if bad.size:
-        a, b = (int(v) for v in bad[0])
+    phi0, phi1 = t[:, e], t[e, :]
+    fault = _affine_fault(t, gt, phi0, phi1)
+    if fault is not None:
+        name, (x, y) = fault
+        raise NotEndomorphicCA({"affine": (x, e, e, y), "phi0": (x, y, e, e),
+                                "phi1": (e, e, x, y)}[name])
+    # t(a, b) = phi0(a).phi1(b) by now; ask that it equal phi1(b).phi0(a)
+    bad = _first(t != gt[np.ix_(phi1, phi0)].T)
+    if bad is not None:
+        a, b = bad
         raise NotEndomorphicCA((e, a, b, e))
     if n ** 4 <= DIRECT_QUADRUPLE_BOUND:
         lhs = t[gt.reshape(n, n, 1, 1), gt.reshape(1, 1, n, n)]
         rhs = gt[t.reshape(n, 1, n, 1), t.reshape(1, n, 1, n)]
-        bad = np.argwhere(lhs != rhs)
-        if bad.size:  # pragma: no cover - factored test already accepted
-            raise NotEndomorphicCA(tuple(int(v) for v in bad[0]))
+        bad = _first(lhs != rhs)
+        if bad is not None:  # pragma: no cover - factored test already accepted
+            raise NotEndomorphicCA(bad)
+
+
+def _cycles(perm) -> list[list[int]]:
+    """The cycles of perm, each from its smallest member, in order of it.
+    A walk that meets an earlier cycle never returns: AperiodicKernelWord."""
+    seen = [False] * len(perm)
+    cycles = []
+    for a in range(len(perm)):
+        if seen[a]:
+            continue
+        cyc = [a]
+        seen[a] = True
+        x = perm[a]
+        while x != a:
+            if seen[x]:
+                raise AperiodicKernelWord(a)
+            seen[x] = True
+            cyc.append(x)
+            x = perm[x]
+        cycles.append(cyc)
+    return cycles
 
 
 @dataclass(frozen=True)
@@ -161,24 +192,12 @@ def kernel(rule: LocalRule, g: GroupTable) -> KernelReport:
 
     zeta: list[tuple[int, ...] | None] = [None] * n
     periods = [0] * n
-    visited = [False] * n
-    for a in range(n):
-        if visited[a]:
-            continue
-        cyc = [a]
-        visited[a] = True
-        x = rho[a]
-        while x != a:
-            if visited[x]:
-                raise AperiodicKernelWord(a)
-            visited[x] = True
-            cyc.append(x)
-            x = rho[x]
+    for cyc in _cycles(rho):
         length = len(cyc)
         doubled = cyc + cyc
         for i in range(length):
             if int(t[cyc[i], cyc[(i + 1) % length]]) != e:
-                raise AperiodicKernelWord(a)  # pragma: no cover
+                raise AperiodicKernelWord(cyc[0])  # pragma: no cover
         for off, b in enumerate(cyc):
             zeta[b] = tuple(doubled[off:off + length])
             periods[b] = length
@@ -203,21 +222,7 @@ def rho_orbits(rho, g: GroupTable) -> RhoOrbits:
         raise BadParams("rho must be a permutation of the alphabet")
     if rho[e] != e:
         raise BadParams("rho must fix the identity")
-    visited = [False] * n
-    visited[e] = True
-    orbits = []
-    for a in range(n):
-        if visited[a]:
-            continue
-        cyc = [a]
-        visited[a] = True
-        x = rho[a]
-        while x != a:
-            visited[x] = True
-            cyc.append(x)
-            x = rho[x]
-        orbits.append(tuple(cyc))
-    orbits.sort(key=lambda c: c[0])
+    orbits = [tuple(c) for c in _cycles(rho) if c[0] != e]
     return RhoOrbits(tuple(orbits), len(orbits) == 1)
 
 
@@ -298,12 +303,8 @@ def linear_view(g: GroupTable, rho) -> LinearView | None:
     if struct is None:
         return None
     p, k = struct
-    rho = tuple(int(v) for v in rho)
-    gt = g.table
-    r = np.asarray(rho)
-    if rho[g.identity] != g.identity:
-        return None
-    if not np.array_equal(r[gt], gt[r][:, r]):
+    r = np.asarray(rho, dtype=g.table.dtype)
+    if _non_endomorphism(r, g.table) is not None:
         return None
 
     # greedy basis in index order; span holds every element reached so far
@@ -327,9 +328,8 @@ def linear_view(g: GroupTable, rho) -> LinearView | None:
         known[span] = True
         if len(span) == g.order:
             break
-    cols = [coord[rho[b]].tolist() for b in basis]
-    matrix = MatrixFp.from_rows(p, [[cols[j][i] for j in range(k)]
-                                    for i in range(k)])
+    # column j holds the coordinates of rho(basis[j])
+    matrix = MatrixFp.from_rows(p, coord[r[basis]].T)
     m = np.asarray(matrix.rows, dtype=np.int64)
     if not np.array_equal(coord @ m.T % p, coord[r]):
         return None  # pragma: no cover - re-verify the matrix reproduces rho

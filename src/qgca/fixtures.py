@@ -9,6 +9,7 @@ them as ``@spec`` instead of a file path.
 """
 from __future__ import annotations
 
+from functools import cache
 from pathlib import Path
 
 from .automaton import LocalRule, format_rule, from_quasigroup, parse_rule
@@ -48,11 +49,17 @@ def resolve_table(spec: str) -> Quasigroup:
     return builtin_from_spec(" ".join(_spec_tokens(body)))
 
 
+@cache
+def _z7x4() -> tuple[GroupTable, LocalRule]:
+    """The (Z/7)^4 example, built once: the group and rule are read-only."""
+    return affine_matrix_system(M7_MATRIX)
+
+
 def resolve_group(spec: str) -> GroupTable:
     if not spec.startswith("@"):
         return load_group(spec)
     if spec[1:].lower() == "z7x4":
-        return affine_matrix_system(M7_MATRIX)[0]
+        return _z7x4()[0]
     return group_from_q(resolve_table(spec))
 
 
@@ -69,7 +76,7 @@ def resolve_rule(spec: str) -> tuple[LocalRule, tuple[str, ...] | None]:
         rule = parse_rule(path.read_text(), resolve=resolve)
         return rule, tables[0].symbols if tables else None
     if spec[1:].lower() == "z7x4":
-        g, rule = affine_matrix_system(M7_MATRIX)
+        g, rule = _z7x4()
         return rule, g.symbols
     table = resolve_table(spec)
     return from_quasigroup(table), table.symbols

@@ -96,11 +96,6 @@ def elementary_abelian_group(p: int, k: int) -> GroupTable:
     return _finish(q, check_associativity=False)
 
 
-# digit vectors of elementary abelian element indices
-element_digits = unpack_digits
-digits_index = pack_digits
-
-
 # ---------------------------------------------------------------------------
 # group file format: a quasigroup table file plus a final "identity <symbol>"
 

@@ -329,7 +329,8 @@ def rref(rows: Sequence[Vec], p: int) -> tuple[Vec, ...]:
     return tuple(tuple(r) for r in out)
 
 
-def in_span(basis: Sequence[Vec], v: Vec, p: int) -> bool:
+def _reduce(basis: Sequence[Vec], v: Vec, p: int) -> Vec:
+    """v with each echelon row of basis cleared from its pivot column."""
     red = list(v)
     for row in basis:
         pivot = next(i for i, x in enumerate(row) if x)
@@ -337,7 +338,11 @@ def in_span(basis: Sequence[Vec], v: Vec, p: int) -> bool:
         if c:
             for i in range(len(red)):
                 red[i] = (red[i] - c * row[i]) % p
-    return not any(x % p for x in red)
+    return tuple(red)
+
+
+def in_span(basis: Sequence[Vec], v: Vec, p: int) -> bool:
+    return not any(x % p for x in _reduce(basis, v, p))
 
 
 # ---------------------------------------------------------------------------
@@ -363,18 +368,8 @@ def rcf(m: MatrixFp) -> RcfResult:
     w_basis: tuple[Vec, ...] = ()
     factors_desc: list[Poly] = []
 
-    def reduce(v: Vec) -> Vec:
-        red = list(v)
-        for row in w_basis:
-            pivot = next(i for i, x in enumerate(row) if x)
-            c = red[pivot] % p
-            if c:
-                for i in range(n):
-                    red[i] = (red[i] - c * row[i]) % p
-        return tuple(red)
-
     def q_apply(v: Vec) -> Vec:
-        return reduce(m.vec(v))
+        return _reduce(w_basis, m.vec(v), p)
 
     while len(w_basis) < n:
         dim_q = n - len(w_basis)
@@ -384,7 +379,7 @@ def rcf(m: MatrixFp) -> RcfResult:
         for i in range(n):
             e = tuple(1 if j == i else 0 for j in range(n))
             if not in_span(tuple(span), e, p):
-                reps.append(reduce(e))
+                reps.append(_reduce(w_basis, e, p))
                 span = list(rref(span + [e], p))
             if len(reps) == dim_q:
                 break

@@ -662,8 +662,11 @@ def coset_measure_check(m: CylinderMeasure, g: GroupTable,
         i = int(picked[first])
         run = slice(starts[pos[i]], ends[pos[i]]) if found[i] else slice(0, 0)
         support = before[run].tolist()
-        coset = sorted(int(g.table[c, support[0]]) for c in members)
-        if support != coset:
+        coset = sorted(int(g.table[c, support[0]]) for c in members) \
+            if support else []
+        if not support:
+            reason = "no predecessor has positive mass"
+        elif support != coset:
             reason = f"support {support} is not the coset {coset}"
         else:
             mass, target = Fraction(int(own.nums[i]), own.den), Fraction(1, k)

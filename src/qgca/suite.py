@@ -204,8 +204,7 @@ def criterion_6(depth: int | None = None, seed: int = 0) -> list[SuiteRow]:
     dec = eca.decompose_affine(rule, g)
 
     p, k = 7, 4
-    from .groups import digits_index, element_digits
-    m_action = tuple(digits_index(p, M7_MATRIX.vec(element_digits(p, k, a)))
+    m_action = tuple(qg.pack_digits(p, M7_MATRIX.vec(qg.unpack_digits(p, k, a)))
                      for a in range(g.order))
     identity_map = tuple(range(g.order))
     ok_dec = dec.phi0 == m_action and dec.phi1 == identity_map

@@ -54,6 +54,17 @@ def subgroups_bitmask(rows, identity: int, inverse,
     return out
 
 
+def endomorphic_bruteforce(rule, g):
+    """The first quadruple (a, a2, b, b2) in lexicographic order with
+    phi(a.a2, b.b2) != phi(a, b).phi(a2, b2), or None when the rule's CA is
+    an endomorphism of the product group shift.  Scans all N^4 quadruples."""
+    rows, t = g.rows, rule.table.tolist()
+    for a, a2, b, b2 in product(range(g.order), repeat=4):
+        if t[rows[a][a2]][rows[b][b2]] != rows[t[a][b]][t[a2][b2]]:
+            return a, a2, b, b2
+    return None
+
+
 def pushforward_bruteforce(m, rule, word) -> Fraction:
     """Mass of the full preimage of a cylinder: every candidate word one
     longer, filtered by stepping."""

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from qgca import cli
+from qgca import fixtures
 from qgca import matfp as mf
 from qgca import measure as mu
 from qgca import quasigroup as qg
@@ -247,6 +248,24 @@ def test_eca_decompose_kernel_orbits_audit(capsys, fixture_dir):
                        fixture_dir / "ledrappier321.rule",
                        fixture_dir / "cyclic3.group")
     assert code == 0 and "kernel_lemma=DISAGREE" in out
+
+
+def test_eca_audit_z7x4_builds_the_group_once(capsys, monkeypatch):
+    built = []
+
+    def affine_matrix_system(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    real = fixtures.affine_matrix_system
+    monkeypatch.setattr(fixtures, "affine_matrix_system", affine_matrix_system)
+    fixtures._z7x4.cache_clear()
+    try:
+        code, out, _ = run(capsys, "eca", "audit", "@z7x4", "@z7x4")
+    finally:
+        fixtures._z7x4.cache_clear()
+    assert code == 0 and "rcf_lemma=DISAGREE" in out
+    assert len(built) == 1
 
 
 def test_eca_invsubgroups_and_hmax(capsys, fixture_dir):

@@ -1,8 +1,10 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgca import automaton as ca
 from qgca import eca
@@ -10,10 +12,12 @@ from qgca import groups as gr
 from qgca import matfp as mf
 from qgca import quasigroup as qg
 from qgca.errors import (AlphabetMismatch, BadParams, NotAffine, NotAGroup,
-                         NotEndomorphicCA, NotEndomorphism, OrderTooLarge,
-                         ParseError)
+                         NotBipermutative, NotEndomorphicCA, NotEndomorphism,
+                         OrderTooLarge, ParseError)
+from qgca.fixtures import M7_MATRIX
+from qgca.suite import random_bipermutative_rule
 
-from oracles import subgroups_bitmask
+from oracles import endomorphic_bruteforce, subgroups_bitmask
 
 
 def led_rule(p, c0, c1):
@@ -51,10 +55,10 @@ def test_group_product_packing():
 def test_elementary_abelian_group():
     g = gr.elementary_abelian_group(7, 4)
     assert g.order == 2401 and g.abelian and g.identity == 0
-    a = gr.digits_index(7, (1, 2, 3, 4))
-    b = gr.digits_index(7, (6, 6, 6, 6))
-    assert g.mul(a, b) == gr.digits_index(7, (0, 1, 2, 3))
-    assert gr.element_digits(7, 4, a) == (1, 2, 3, 4)
+    a = qg.pack_digits(7, (1, 2, 3, 4))
+    b = qg.pack_digits(7, (6, 6, 6, 6))
+    assert g.mul(a, b) == qg.pack_digits(7, (0, 1, 2, 3))
+    assert qg.unpack_digits(7, 4, a) == (1, 2, 3, 4)
 
 
 def test_rule_group_size_mismatch_message():
@@ -211,6 +215,161 @@ def test_kernel_rejects_non_endomorphic_quasigroup(d7):
         eca.kernel(rule, g)
 
 
+def _table_rule(n, f):
+    return ca.make_rule(n, 0, 1, [[f(a, b) for b in range(n)] for a in range(n)])
+
+
+_F4 = [0, 1, 3, 2]              # f(1 + 1) != f(1) + f(1)
+_F6 = [0, 1, 2, 3, 5, 4]        # additive until f(1 + 3) != f(1) + f(3)
+_NOT_ABELIAN = (BadParams, "affine decomposition needs an abelian group", None)
+
+
+def _shifted_z3():
+    """Z/3 with its identity at index 1, and phi(a, b) = a.b.(index 0)."""
+    g = gr.parse_group("3 a e b\nb a e\na e b\ne b a\nidentity e\n")
+    return _table_rule(3, lambda a, b: g.mul(g.mul(a, b), 0)), g
+
+
+def _group_rule(g):
+    return ca.from_quasigroup(g.quasigroup()), g
+
+
+def _endo(witness):
+    return (NotEndomorphicCA,
+            f"rule is not an endomorphic CA; witness quadruple {witness}",
+            witness)
+
+
+@pytest.mark.parametrize("make, by_decompose, by_kernel", [
+    pytest.param(lambda: (_table_rule(4, lambda a, b: (a + b + a * b) % 4),
+                          gr.cyclic_group(4)),
+                 (NotAffine, "local rule is not affine; witness pair (1, 1)",
+                  (1, 1)),
+                 (NotBipermutative, "kernel needs a bipermutative rule", None),
+                 id="not-affine"),
+    pytest.param(lambda: (ca.from_quasigroup(qg.builtin("D7")),
+                          gr.cyclic_group(7)),
+                 (NotAffine, "local rule is not affine; witness pair (1, 1)",
+                  (1, 1)),
+                 _endo((1, 0, 0, 1)), id="not-affine-bipermutative"),
+    pytest.param(lambda: (_table_rule(4, lambda a, b: (_F4[a] + b) % 4),
+                          gr.cyclic_group(4)),
+                 (NotEndomorphism, "phi0 is not an endomorphism; witness (1, 1)",
+                  (1, 1)),
+                 _endo((1, 1, 0, 0)), id="phi0"),
+    pytest.param(lambda: (_table_rule(4, lambda a, b: (a + _F4[b]) % 4),
+                          gr.cyclic_group(4)),
+                 (NotEndomorphism, "phi1 is not an endomorphism; witness (1, 1)",
+                  (1, 1)),
+                 _endo((0, 0, 1, 1)), id="phi1"),
+    pytest.param(lambda: (_table_rule(6, lambda a, b: (_F6[a] + b) % 6),
+                          gr.cyclic_group(6)),
+                 (NotEndomorphism, "phi0 is not an endomorphism; witness (1, 3)",
+                  (1, 3)),
+                 _endo((1, 3, 0, 0)), id="phi0-later"),
+    pytest.param(lambda: (_table_rule(4, lambda a, b: (_F4[a] + _F4[b]) % 4),
+                          gr.cyclic_group(4)),
+                 (NotEndomorphism, "phi0 is not an endomorphism; witness (1, 1)",
+                  (1, 1)),
+                 _endo((1, 1, 0, 0)), id="phi0-before-phi1"),
+    pytest.param(lambda: (_table_rule(4, lambda a, b: (a + b + 1) % 4),
+                          gr.cyclic_group(4)),
+                 (NotAffine, "local rule is not affine; witness pair (0, 0)",
+                  (0, 0)),
+                 _endo((0, 0, 0, 0)), id="t_ee"),
+    pytest.param(_shifted_z3,
+                 (NotAffine, "local rule is not affine; witness pair (0, 0)",
+                  (0, 0)),
+                 _endo((1, 1, 1, 1)), id="t_ee-identity-not-first"),
+    # a^-1 b: phi0 is inversion, an anti-automorphism of Q8
+    pytest.param(lambda: (ca.dual_rule(ca.from_quasigroup(qg.builtin(
+        "quaternion"))), gr.quaternion_group()),
+                 _NOT_ABELIAN, _endo((2, 4, 0, 0)), id="quaternion-dual"),
+    # a b: phi0 = phi1 = identity, whose images do not commute
+    pytest.param(lambda: (ca.from_quasigroup(qg.builtin("quaternion")),
+                          gr.quaternion_group()),
+                 _NOT_ABELIAN, _endo((0, 2, 4, 0)), id="quaternion-product"),
+    # 40^4 quadruples exceed the direct-scan bound: only the factored test runs
+    pytest.param(lambda: _group_rule(gr.group_product(gr.cyclic_group(5),
+                                                      gr.quaternion_group())),
+                 _NOT_ABELIAN, _endo((0, 2, 4, 0)), id="c5xq-product"),
+])
+def test_endomorphism_failures_keep_their_witness(make, by_decompose, by_kernel):
+    rule, g = make()
+    for fn, (cls, text, witness) in ((eca.decompose_affine, by_decompose),
+                                     (eca.kernel, by_kernel)):
+        with pytest.raises(cls) as exc:
+            fn(rule, g)
+        assert str(exc.value) == text
+        assert getattr(exc.value, "witness", None) == witness
+
+
+_SMALL_GROUPS = [lambda n=n: gr.cyclic_group(n) for n in range(2, 7)] + [
+    gr.quaternion_group,
+    lambda: gr.group_product(gr.cyclic_group(2), gr.quaternion_group())]
+
+
+@st.composite
+def _bijection(draw, g):
+    """An automorphism (a conjugation, times a power map when g is abelian)
+    or a random permutation fixing the identity."""
+    n, e = g.order, g.identity
+    if draw(st.booleans()):
+        rest = draw(st.permutations([a for a in range(n) if a != e]))
+        return [e if a == e else rest[a - (a > e)] for a in range(n)]
+    c = draw(st.integers(0, n - 1))
+    k = draw(st.sampled_from([k for k in range(1, n) if math.gcd(k, n) == 1])) \
+        if g.abelian else 1
+    out = []
+    for a in range(n):
+        x = g.mul(g.mul(c, a), g.inv(c))
+        power = x
+        for _ in range(k - 1):
+            power = g.mul(power, x)
+        out.append(power)
+    return out
+
+
+@settings(max_examples=80)
+@given(data=st.data(), make=st.sampled_from(_SMALL_GROUPS),
+       kind=st.sampled_from(["affine", "latin", "dual"]))
+def test_kernel_rejects_exactly_what_the_oracle_rejects(data, make, kind):
+    g = make()
+    n = g.order
+    if kind == "latin":
+        seed = data.draw(st.integers(0, 10 ** 6))
+        rule = random_bipermutative_rule(n, random.Random(seed))
+    else:
+        s0, s1 = data.draw(_bijection(g)), data.draw(_bijection(g))
+        rule = _table_rule(n, lambda a, b: g.mul(s0[a], s1[b]))
+        if kind == "dual":
+            rule = ca.dual_rule(rule)
+    bad = endomorphic_bruteforce(rule, g)
+    try:
+        eca.kernel(rule, g)
+    except NotEndomorphicCA as exc:
+        assert bad is not None
+        a, a2, b, b2 = exc.witness      # the witness is a failing quadruple
+        t = rule.table
+        assert t[g.mul(a, a2), g.mul(b, b2)] != g.mul(t[a, b], t[a2, b2])
+    else:
+        assert bad is None
+
+
+def test_endomorphism_check_memory_on_z7x4():
+    """Peak traced memory of the checks stays under 4 n^2 int32 entries."""
+    g, rule = eca.affine_matrix_system(M7_MATRIX)
+    bound = 4 * g.order ** 2 * 4
+    for fn in (eca.kernel, eca.decompose_affine):
+        tracemalloc.start()
+        try:
+            fn(rule, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (fn.__name__, peak)
+
+
 # ---------------------------------------------------------------------------
 # orbits and subgroup lattices
 
@@ -349,6 +508,7 @@ def test_linear_view_rejects_nonlinear():
     # swap (0,1) <-> (1,0), fix the rest: rho(1+1) != rho(1)+rho(1)
     nonadditive = tuple(3 if a == 1 else 1 if a == 3 else a for a in range(9))
     assert eca.linear_view(g2, nonadditive) is None
+    assert eca.linear_view(g2, (1, 0) + tuple(range(2, 9))) is None  # moves e
 
 
 def test_subspace_to_subgroup_is_closed():
