@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import (NotBipermutative, ParseError, PeriodTooLarge,
                      TableTooLarge, WordTooShort)
-from .quasigroup import (Quasigroup, pack_digits, unpack_digits,
-                         validate_latin)
+from .quasigroup import Quasigroup, first_repeat, pack_digits, unpack_digits
 
 RULE_TABLE_BOUND = 2 ** 24
 PERIODIC_STATE_BOUND = 2 ** 20
@@ -98,26 +97,16 @@ def from_quasigroup(q: Quasigroup) -> LocalRule:
     return make_rule(q.order, 0, 1, q.table)
 
 
-def rule_quasigroup(rule: LocalRule,
-                    symbols: Sequence[str] | None = None) -> Quasigroup:
-    """View a bipermutative nearest-neighbour rule as its quasigroup table."""
-    if not rule.is_rnnca:
-        raise NotBipermutative("only nearest-neighbour rules have a table view")
-    return validate_latin(rule.table, symbols)
-
-
 def is_left_permutative(rule: LocalRule) -> bool:
     """True when the leftmost coordinate acts bijectively for every fixed rest."""
     n = rule.alphabet_size
-    flat = rule.table.reshape(n, -1)
-    return bool((np.sort(flat, axis=0) == np.arange(n)[:, None]).all())
+    return first_repeat(rule.table.reshape(n, -1).T) is None
 
 
 def is_right_permutative(rule: LocalRule) -> bool:
     """True when the rightmost coordinate acts bijectively for every fixed rest."""
     n = rule.alphabet_size
-    flat = rule.table.reshape(-1, n)
-    return bool((np.sort(flat, axis=1) == np.arange(n)[None, :]).all())
+    return first_repeat(rule.table.reshape(-1, n)) is None
 
 
 def is_bipermutative(rule: LocalRule) -> bool:

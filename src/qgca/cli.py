@@ -173,8 +173,7 @@ def _cmd_mu_invariance(args) -> int:
 def _cmd_mu_entropy(args) -> int:
     doc = resolve_measure(args.measure)
     lines = ["depth\tblock_entropy\tincrement"]
-    profile = mu.entropy_rate_profile(doc.measure, args.depth) \
-        if args.depth >= 2 else []
+    profile = mu.entropy_rate_profile(doc.measure, args.depth)
     for k in range(1, args.depth + 1):
         h = mu.block_entropy(doc.measure, k)
         inc = _fmt_float(profile[k - 2]) if k >= 2 else "-"

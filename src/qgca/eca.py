@@ -251,6 +251,8 @@ def subgroups(g: GroupTable) -> list[tuple[int, ...]]:
 
 def h_max(g: GroupTable) -> float:
     """log2 of the largest proper subgroup order."""
+    if g.order == 1:
+        raise BadParams("the trivial group has no proper subgroup")
     best = max(len(s) for s in subgroups(g) if len(s) < g.order)
     return math.log2(best)
 

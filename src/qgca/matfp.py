@@ -202,12 +202,6 @@ class MatrixFp:
         return tuple(sum(r[j] * v[j] for j in range(self.n)) % p
                      for r in self.rows)
 
-    def mul(self, other: "MatrixFp") -> "MatrixFp":
-        p, n = self.p, self.n
-        rows = [[sum(self.rows[i][k] * other.rows[k][j] for k in range(n)) % p
-                 for j in range(n)] for i in range(n)]
-        return MatrixFp(p, n, tuple(tuple(r) for r in rows))
-
     def neg(self) -> "MatrixFp":
         return MatrixFp(self.p, self.n,
                         tuple(tuple((-v) % self.p for v in r) for r in self.rows))
@@ -240,28 +234,22 @@ def char_poly(m: MatrixFp) -> Poly:
 
 
 def _local_min_poly(apply_fn: Callable[[Vec], Vec], v: Vec, p: int) -> Poly:
-    """Minimal monic f with f(A)v = 0, tracking Krylov dependencies."""
-    basis: list[tuple[Vec, list[int]]] = []   # echelon vectors with combos
+    """Minimal monic f with f(A)v = 0.
+
+    Each Krylov vector A^k v is extended by the unit vector e_k to width
+    2n + 1 and reduced against the echelon basis of the earlier ones; the
+    extra columns then hold the combination of A^0 v .. A^k v it stands for.
+    """
+    n = len(v)
+    basis: tuple[Vec, ...] = ()
     w, k = v, 0
     while True:
-        combo = [0] * (k + 1)
-        combo[k] = 1
-        red = list(w)
-        for bv, bc in basis:
-            pivot = next(i for i, x in enumerate(bv) if x)
-            c = red[pivot]
-            if c:
-                factor = c * pow(bv[pivot], p - 2, p) % p
-                for i in range(len(red)):
-                    red[i] = (red[i] - factor * bv[i]) % p
-                for i in range(len(bc)):
-                    combo[i] = (combo[i] - factor * bc[i]) % p
-        if not any(red):
-            # 0 = sum_j combo[j] A^j v with combo[k] = 1: monic of degree k
-            return p_norm(combo, p)
-        basis.append((tuple(red), combo))
-        w = apply_fn(w)
-        k += 1
+        red = _reduce(basis, w + tuple(int(i == k) for i in range(n + 1)), p)
+        if not any(red[:n]):
+            # 0 = sum_j red[n + j] A^j v with red[n + k] = 1: monic of degree k
+            return p_norm(red[n:], p)
+        basis = _insert(basis, red, p)
+        w, k = apply_fn(w), k + 1
 
 
 def min_poly(m: MatrixFp) -> Poly:
@@ -298,51 +286,42 @@ def poly_apply_vec(f: Poly, apply_fn: Callable[[Vec], Vec], v: Vec,
 # ---------------------------------------------------------------------------
 # row echelon machinery
 
-def rref(rows: Sequence[Vec], p: int) -> tuple[Vec, ...]:
-    """Canonical reduced row echelon basis of the span of ``rows``."""
-    work = [list(r) for r in rows if any(r)]
-    out: list[list[int]] = []
-    width = len(rows[0]) if rows else 0
-    col = 0
-    while work and col < width:
-        pivot_row = next((r for r in work if r[col] % p != 0), None)
-        if pivot_row is None:
-            col += 1
-            continue
-        work.remove(pivot_row)
-        inv = pow(pivot_row[col], p - 2, p)
-        pivot_row = [v * inv % p for v in pivot_row]
-        for r in work:
-            c = r[col] % p
-            if c:
-                for i in range(width):
-                    r[i] = (r[i] - c * pivot_row[i]) % p
-        work = [r for r in work if any(v % p for v in r)]
-        for r in out:
-            c = r[col] % p
-            if c:
-                for i in range(width):
-                    r[i] = (r[i] - c * pivot_row[i]) % p
-        out.append(pivot_row)
-        col += 1
-    out.sort(key=lambda r: next(i for i, v in enumerate(r) if v))
-    return tuple(tuple(r) for r in out)
-
-
 def _reduce(basis: Sequence[Vec], v: Vec, p: int) -> Vec:
-    """v with each echelon row of basis cleared from its pivot column."""
-    red = list(v)
+    """v mod p with each echelon row of basis cleared from its pivot column,
+    which is the row's first 1: its leading entry is 1."""
+    red = [x % p for x in v]
     for row in basis:
-        pivot = next(i for i, x in enumerate(row) if x)
-        c = red[pivot] % p
+        c = red[row.index(1)]
         if c:
             for i in range(len(red)):
                 red[i] = (red[i] - c * row[i]) % p
     return tuple(red)
 
 
+def _insert(basis: tuple[Vec, ...], v: Vec, p: int) -> tuple[Vec, ...]:
+    """Canonical RREF basis of span(basis + v), given basis in RREF; basis
+    itself when v already lies in its span."""
+    red = _reduce(basis, v, p)
+    lead = next((x for x in red if x), 0)
+    if not lead:
+        return basis
+    inv = pow(lead, p - 2, p)
+    new = tuple(x * inv % p for x in red)
+    rows = [_reduce((new,), row, p) for row in basis] + [new]
+    return tuple(sorted(rows, key=lambda row: row.index(1)))
+
+
+def rref(rows: Sequence[Vec], p: int) -> tuple[Vec, ...]:
+    """Canonical reduced row echelon basis of the span of ``rows``."""
+    basis: tuple[Vec, ...] = ()
+    for row in rows:
+        basis = _insert(basis, row, p)
+    return basis
+
+
 def in_span(basis: Sequence[Vec], v: Vec, p: int) -> bool:
-    return not any(x % p for x in _reduce(basis, v, p))
+    """Whether v lies in the span of an RREF basis, such as rref returns."""
+    return not any(_reduce(basis, v, p))
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +354,13 @@ def rcf(m: MatrixFp) -> RcfResult:
         dim_q = n - len(w_basis)
         # independent representatives of the quotient from reduced unit vectors
         reps: list[Vec] = []
-        span: list[Vec] = list(w_basis)
+        span = w_basis
         for i in range(n):
             e = tuple(1 if j == i else 0 for j in range(n))
-            if not in_span(tuple(span), e, p):
+            grown = _insert(span, e, p)
+            if len(grown) > len(span):
                 reps.append(_reduce(w_basis, e, p))
-                span = list(rref(span + [e], p))
+                span = grown
             if len(reps) == dim_q:
                 break
         v: Vec | None = None
@@ -400,12 +380,10 @@ def rcf(m: MatrixFp) -> RcfResult:
             if p_deg(mu) == dim_q:
                 break
         factors_desc.append(mu)
-        new_rows = list(w_basis)
         w = v
         for _ in range(p_deg(mu)):
-            new_rows.append(w)
+            w_basis = _insert(w_basis, w, p)
             w = m.vec(w)
-        w_basis = rref(new_rows, p)
 
     factors = tuple(reversed(factors_desc))
     prod: Poly = (1,)
@@ -429,12 +407,12 @@ def rcf(m: MatrixFp) -> RcfResult:
 
 def cyclic_subspace(m: MatrixFp, v: Vec) -> tuple[Vec, ...]:
     """RREF basis of span{v, Mv, M^2 v, ...}."""
-    rows = [v]
-    w = m.vec(v)
-    while not in_span(rref(rows, m.p), w, m.p):
-        rows.append(w)
+    basis: tuple[Vec, ...] = ()
+    w = v
+    while not in_span(basis, w, m.p):
+        basis = _insert(basis, w, m.p)
         w = m.vec(w)
-    return rref(rows, m.p)
+    return basis
 
 
 def invariant_subspaces(m: MatrixFp) -> list[tuple[Vec, ...]]:
@@ -458,8 +436,9 @@ def invariant_subspaces(m: MatrixFp) -> list[tuple[Vec, ...]]:
             seeds.append(basis)
 
     def join(x: tuple[Vec, ...], y: tuple[Vec, ...]) -> tuple[Vec, ...] | None:
-        s = rref(x + y, p)
-        return s if len(s) < n else None
+        for row in y:
+            x = _insert(x, row, p)
+        return x if len(x) < n else None
 
     family = join_sweep(seeds, join, SUBSPACE_FAMILY_BOUND,
                         "invariant subspace family")

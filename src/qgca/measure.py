@@ -167,9 +167,6 @@ class CylinderMeasure:
                           lv.nums.tolist()):
             yield w, Fraction(num, lv.den)
 
-    def describe(self) -> str:
-        return self.kind
-
 
 class UniformMeasure(CylinderMeasure):
     """Uniform Bernoulli: every length-M cylinder has mass 1/N^M."""
@@ -545,9 +542,9 @@ def entropy_rate_profile(m: CylinderMeasure, n_max: int) -> list[float]:
     Each increment is floated from the exact difference of the two depth
     combinations, so measures with dyadic masses give exact answers.
     """
+    _check_depth(m.alphabet_size, n_max)
     if n_max < 2:
         return []
-    _check_depth(m.alphabet_size, n_max)
     combos = [_entropy_combo(m.level(k)) for k in range(1, n_max + 1)]
     return [_combo_float(_combo_sub(combos[k + 1], combos[k]))
             for k in range(n_max - 1)]

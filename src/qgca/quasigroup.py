@@ -74,6 +74,23 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def first_repeat(lines: np.ndarray) -> tuple[int, int, int] | None:
+    """First line of an m x n array with entries in 0..n-1 that is not a
+    permutation, as (line, first position, repeat position) of its first
+    repeated entry; None when every line is a permutation."""
+    m, n = lines.shape
+    hit = np.zeros((m, n), dtype=bool)
+    hit[np.arange(m)[:, None], lines] = True
+    bad = ~hit.all(axis=1)
+    if not bad.any():
+        return None
+    line = int(bad.argmax())
+    entries = lines[line].tolist()
+    first: dict[int, int] = {}
+    pos = next(i for i, v in enumerate(entries) if first.setdefault(v, i) != i)
+    return line, first[entries[pos]], pos
+
+
 def validate_latin(table, symbols: Sequence[str] | None = None) -> Quasigroup:
     """Validate an N x N index table as a Latin square and wrap it.
 
@@ -97,18 +114,12 @@ def validate_latin(table, symbols: Sequence[str] | None = None) -> Quasigroup:
     if bad.size:
         r, c = (int(v) for v in bad[0])
         raise BadEntry(r, c)
-    for r in range(n):
-        seen: dict[int, int] = {}
-        for c, v in enumerate(arr[r].tolist()):
-            if v in seen:
-                raise DuplicateInRow(r, seen[v], c)
-            seen[v] = c
-    for c in range(n):
-        seen = {}
-        for r, v in enumerate(arr[:, c].tolist()):
-            if v in seen:
-                raise DuplicateInColumn(c, seen[v], r)
-            seen[v] = r
+    repeat = first_repeat(arr)
+    if repeat:
+        raise DuplicateInRow(*repeat)
+    repeat = first_repeat(arr.T)
+    if repeat:
+        raise DuplicateInColumn(*repeat)
     return Quasigroup(symbols, _freeze(arr))
 
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import automaton as ca
 from . import eca
+from . import fixtures
 from . import matfp
 from . import measure as mu
 from . import quasigroup as qg
@@ -200,7 +201,7 @@ def criterion_5(depth: int | None = None, seed: int = 0) -> list[SuiteRow]:
 
 def criterion_6(depth: int | None = None, seed: int = 0) -> list[SuiteRow]:
     rows = []
-    g, rule = eca.affine_matrix_system(M7_MATRIX)
+    g, rule = fixtures._z7x4()
     dec = eca.decompose_affine(rule, g)
 
     p, k = 7, 4

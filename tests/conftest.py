@@ -4,6 +4,8 @@ import pytest
 from hypothesis import settings
 
 from qgca import automaton as ca
+from qgca import eca
+from qgca import fixtures
 from qgca import quasigroup as qg
 
 # property tests draw the same examples on every run
@@ -29,3 +31,21 @@ def xor_rule():
 @pytest.fixture
 def rng():
     return random.Random(20260810)
+
+
+@pytest.fixture
+def z7x4_builds(monkeypatch):
+    """Every (Z/7)^4 affine system built during a test, whether through the
+    ``@z7x4`` cache (cleared before and after) or by a direct call."""
+    built = []
+    real = eca.affine_matrix_system
+
+    def counting(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(eca, "affine_matrix_system", counting)
+    monkeypatch.setattr(fixtures, "affine_matrix_system", counting)
+    fixtures._z7x4.cache_clear()
+    yield built
+    fixtures._z7x4.cache_clear()

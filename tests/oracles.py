@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to cross-check the library.
 
-These deliberately avoid the library's own enumeration strategies: closed
-subsets by bitmask scan, pushforwards by full preimage enumeration, and
+These deliberately avoid the library's own enumeration strategies: Latin
+squares and permutative rules by per-line scans, closed subsets by bitmask
+scan, pushforwards by full preimage enumeration, and
 invariant factors by Smith normal form of xI - M over F_p[x].  The measure
 sweeps are the recursive per-word engine the level arrays replaced: a
 depth-first walk over words in lexicographic order, pruning zero-mass
@@ -14,7 +15,10 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 
-from qgca.errors import (AlphabetSizeMismatch, BadParams, DepthTooLarge,
+import numpy as np
+
+from qgca.errors import (AlphabetSizeMismatch, BadEntry, BadParams,
+                         DepthTooLarge, DuplicateInColumn, DuplicateInRow,
                          NotASubgroup)
 from qgca.matfp import MatrixFp, Poly, p_divmod, p_monic, p_mul, p_norm, p_sub
 from qgca.measure import (WORD_ENUMERATION_BOUND, ZERO, ONE,
@@ -22,6 +26,41 @@ from qgca.measure import (WORD_ENUMERATION_BOUND, ZERO, ONE,
                           InvarianceReport, _check_depth, _combo_float,
                           _combo_sub, _factorize, _log2_exponents,
                           conditional_dist, pushforward_ca, pushforward_shift)
+
+
+def latin_check(table) -> None:
+    """Raise the first fault of a square index table: an entry outside
+    0..N-1, then a repeat in a row, then a repeat in a column, each scanned
+    with a dict in row-major order."""
+    arr = np.asarray(table, dtype=np.int64)
+    n = arr.shape[0]
+    bad = np.argwhere((arr < 0) | (arr >= n))
+    if bad.size:
+        raise BadEntry(*(int(v) for v in bad[0]))
+    for r in range(n):
+        seen: dict[int, int] = {}
+        for c, v in enumerate(arr[r].tolist()):
+            if v in seen:
+                raise DuplicateInRow(r, seen[v], c)
+            seen[v] = c
+    for c in range(n):
+        seen = {}
+        for r, v in enumerate(arr[:, c].tolist()):
+            if v in seen:
+                raise DuplicateInColumn(c, seen[v], r)
+            seen[v] = r
+
+
+def left_permutative_sort(rule) -> bool:
+    n = rule.alphabet_size
+    flat = rule.table.reshape(n, -1)
+    return bool((np.sort(flat, axis=0) == np.arange(n)[:, None]).all())
+
+
+def right_permutative_sort(rule) -> bool:
+    n = rule.alphabet_size
+    flat = rule.table.reshape(-1, n)
+    return bool((np.sort(flat, axis=1) == np.arange(n)[None, :]).all())
 
 
 def closed_subsets_bitmask(rows) -> list[tuple[int, ...]]:

@@ -9,6 +9,7 @@ import time
 from fractions import Fraction as F
 
 from qgca import automaton as ca
+from qgca import cli
 from qgca import eca
 from qgca import groups as gr
 from qgca import matfp as mf
@@ -81,18 +82,11 @@ def test_criterion_5_xi_conjugacy():
     assert ca.xi_inverse(d7_rule, ca.xi(d7_rule, w)) == w
 
 
-def test_criterion_6_z7x4_eca_audit(monkeypatch):
-    built = []
-
-    def affine_matrix_system(*args):
-        built.append(real(*args))
-        return built[-1]
-
-    real = eca.affine_matrix_system
-    monkeypatch.setattr(eca, "affine_matrix_system", affine_matrix_system)
+def test_criterion_6_z7x4_eca_audit(z7x4_builds):
     rows = run_criterion(6, 60.0)
-    # neither the criterion nor its audit builds the 2401 x 2401 rows tuple
-    (g, _), = built
+    # one build, and neither the criterion nor its audit builds the
+    # 2401 x 2401 rows tuple
+    (g, _), = z7x4_builds
     assert g.order == 2401 and "rows" not in vars(g)
     infos = [r for r in rows if r.status == "INFO"]
     assert any("DISAGREE" in r.detail for r in infos)
@@ -100,6 +94,13 @@ def test_criterion_6_z7x4_eca_audit(monkeypatch):
         7, [[0, 0, 0, 7 - 1], [7 - 1, 0, 0, 7 - 1],
             [0, 7 - 1, 0, 7 - 1], [0, 0, 7 - 1, 7 - 1]]))
     assert result.simple                      # -M has a single companion block
+
+
+def test_criterion_6_and_eca_audit_share_one_z7x4_build(z7x4_builds, capsys):
+    suite.criterion_6(None, 0)
+    assert cli.main(["eca", "audit", "@z7x4", "@z7x4"]) == 0
+    assert "rcf_lemma=DISAGREE" in capsys.readouterr().out
+    assert len(z7x4_builds) == 1
 
 
 def test_criterion_7_h_max():

@@ -3,7 +3,6 @@ from pathlib import Path
 import pytest
 
 from qgca import cli
-from qgca import fixtures
 from qgca import matfp as mf
 from qgca import measure as mu
 from qgca import quasigroup as qg
@@ -250,22 +249,10 @@ def test_eca_decompose_kernel_orbits_audit(capsys, fixture_dir):
     assert code == 0 and "kernel_lemma=DISAGREE" in out
 
 
-def test_eca_audit_z7x4_builds_the_group_once(capsys, monkeypatch):
-    built = []
-
-    def affine_matrix_system(*args):
-        built.append(real(*args))
-        return built[-1]
-
-    real = fixtures.affine_matrix_system
-    monkeypatch.setattr(fixtures, "affine_matrix_system", affine_matrix_system)
-    fixtures._z7x4.cache_clear()
-    try:
-        code, out, _ = run(capsys, "eca", "audit", "@z7x4", "@z7x4")
-    finally:
-        fixtures._z7x4.cache_clear()
+def test_eca_audit_z7x4_builds_the_group_once(capsys, z7x4_builds):
+    code, out, _ = run(capsys, "eca", "audit", "@z7x4", "@z7x4")
     assert code == 0 and "rcf_lemma=DISAGREE" in out
-    assert len(built) == 1
+    assert len(z7x4_builds) == 1
 
 
 def test_eca_invsubgroups_and_hmax(capsys, fixture_dir):
@@ -372,3 +359,20 @@ def test_paper_suite_corrupted_builtin_fails(capsys, monkeypatch):
     assert code == 1
     row1 = [ln for ln in out.splitlines()[1:] if ln.split("\t")[0] == "1"]
     assert row1 and all("FAIL" in ln for ln in row1)
+
+
+def test_eca_hmax_rejects_the_trivial_group(capsys):
+    code, out, err = run(capsys, "eca", "hmax", "@cyclic,1")
+    assert (code, out) == (2, "")
+    assert "the trivial group has no proper subgroup" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mu", "entropy", "@uniform,2"],
+    ["mu", "invariance", "@uniform,2"],
+    ["mu", "fibers", "@uniform,2", "@xor"],
+])
+def test_mu_negative_depth_is_bad_input(capsys, argv):
+    code, out, err = run(capsys, *argv, "--depth", "-1")
+    assert (code, out) == (2, "")
+    assert "depth must be nonnegative" in err

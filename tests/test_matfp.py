@@ -1,4 +1,7 @@
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgca import matfp as mf
 from qgca.errors import BadParams, ParseError, TooLarge
@@ -116,6 +119,85 @@ def test_char_poly_against_snf_product(rng):
             for f in snf_invariant_factors(m):
                 prod = mf.p_mul(prod, f, p)
             assert prod == mf.char_poly(m)
+
+
+@st.composite
+def small_matrices(draw, max_vectors):
+    """A matrix over F_p with p^n <= max_vectors."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, max(k for k in range(1, 8) if p ** k <= max_vectors)))
+    entries = st.integers(0, p - 1)
+    return mf.MatrixFp.from_rows(p, draw(st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+
+
+@settings(max_examples=60)
+@given(m=small_matrices(125))
+def test_min_poly_is_the_least_monic_annihilator(m):
+    p, n = m.p, m.n
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    least = next(f for d in range(1, n + 1)
+                 for f in (c + (1,) for c in product(range(p), repeat=d))
+                 if all(not any(mf.poly_apply_vec(f, m.vec, e, p))
+                        for e in units))
+    assert mf.min_poly(m) == least
+
+
+@settings(max_examples=40)
+@given(m=small_matrices(7 ** 5))
+def test_char_poly_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    coeffs = sympy.Matrix(m.rows).charpoly(x).all_coeffs()
+    assert mf.char_poly(m) == mf.p_norm([int(c) for c in reversed(coeffs)], m.p)
+
+
+# ---------------------------------------------------------------------------
+# row echelon machinery
+
+@st.composite
+def row_lists(draw, max_vectors=7 ** 5):
+    """(p, rows): one to five rows of a common width over F_p, with
+    p^width <= max_vectors."""
+    m = draw(small_matrices(max_vectors))
+    rows = draw(st.lists(st.sampled_from(m.rows + tuple(map(m.vec, m.rows))),
+                         min_size=1, max_size=5))
+    return m.p, rows
+
+
+def span_of(rows, p):
+    n = len(rows[0])
+    return {tuple(sum(c * r[j] for c, r in zip(cs, rows)) % p
+                  for j in range(n))
+            for cs in product(range(p), repeat=len(rows))}
+
+
+@given(data=st.data(), pr=row_lists())
+def test_rref_depends_only_on_the_span(data, pr):
+    p, rows = pr
+    basis = mf.rref(rows, p)
+    pivots = [next(i for i, x in enumerate(r) if x) for r in basis]
+    assert pivots == sorted(set(pivots))
+    assert all(r[c] == int(i == k) for k, c in enumerate(pivots)
+               for i, r in enumerate(basis))
+    assert all(mf.in_span(basis, r, p) for r in rows)
+    assert mf.rref(data.draw(st.permutations(rows)), p) == basis
+    combos = data.draw(st.lists(st.lists(st.integers(0, p - 1),
+                                         min_size=len(rows),
+                                         max_size=len(rows)), max_size=3))
+    extra = [tuple(sum(c * r[j] for c, r in zip(cs, rows)) % p
+                   for j in range(len(rows[0]))) for cs in combos]
+    assert mf.rref(rows + extra, p) == basis
+
+
+@given(pr=row_lists(max_vectors=27))
+def test_in_span_matches_enumerated_span(pr):
+    p, rows = pr
+    basis = mf.rref(rows, p)
+    span = span_of(rows, p)
+    assert len(span) == p ** len(basis)
+    for v in product(range(p), repeat=len(rows[0])):
+        assert mf.in_span(basis, v, p) == (v in span)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qgca import automaton as ca
 from qgca import quasigroup as qg
 from qgca.errors import (BadEntry, BadParams, DuplicateInColumn,
                          DuplicateInRow, ParseError, UnknownName)
 from qgca.suite import random_latin_square
 
+import oracles
 from oracles import closed_subsets_bitmask
 
 D7_ROWS = (
@@ -47,6 +49,85 @@ def test_validate_rejects_bad_entry():
 def test_validate_rejects_non_square():
     with pytest.raises(ParseError):
         qg.validate_latin([[0, 1]])
+
+
+def permutative_table(n, arity, rng):
+    """a_1 + .. + a_arity mod n under random symbol permutations."""
+    return sum(rng.permutation(n)[np.arange(n).reshape((n,) + (1,) * k)]
+               for k in range(arity)) % n
+
+
+def edit(table, kind, rng, lo, hi):
+    """Set one entry to a value in lo..hi-1, or swap two entries of one row
+    or of one column."""
+    n = table.shape[0]
+    at, other = tuple(rng.integers(0, n, table.ndim)), int(rng.integers(0, n))
+    if kind == "set":
+        table[at] = rng.integers(lo, hi)
+    elif kind == "row-swap":
+        table[at[0], [at[1], other]] = table[at[0], [other, at[1]]]
+    else:
+        table[[at[0], other], at[1]] = table[[other, at[0]], at[1]]
+
+
+def corrupted_table(n, arity, seed, in_range):
+    """A permutative table with up to three random edits; set entries lie
+    in 0..n-1, or in -1..n unless ``in_range``."""
+    rng = np.random.default_rng(seed)
+    table = permutative_table(n, arity, rng)
+    lo, hi = (0, n) if in_range else (-1, n + 1)
+    kinds = ("set", "row-swap", "column-swap") if arity == 2 else ("set",)
+    for _ in range(rng.integers(0, 4)):
+        edit(table, kinds[rng.integers(len(kinds))], rng, lo, hi)
+    return table
+
+
+def latin_fault(check, table):
+    try:
+        check(table)
+    except (BadEntry, DuplicateInRow, DuplicateInColumn) as exc:
+        return type(exc), str(exc), vars(exc)
+    return None
+
+
+@given(n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_latin_witness_matches_line_scans(n, seed):
+    table = corrupted_table(n, 2, seed, in_range=False)
+    assert latin_fault(qg.validate_latin, table) \
+        == latin_fault(oracles.latin_check, table)
+
+
+@pytest.mark.parametrize("edits", [
+    (), ("set",), ("row-swap",), ("column-swap",), ("row-swap", "column-swap"),
+    ("column-swap", "out-of-range"),
+])
+def test_latin_witness_and_permutativity_match_at_order_520(edits):
+    n = 520
+    rng = np.random.default_rng(n)
+    table = permutative_table(n, 2, rng)
+    for kind in edits:
+        if kind == "out-of-range":
+            edit(table, "set", rng, n, n + 1)
+        else:
+            edit(table, kind, rng, 0, n)
+    assert latin_fault(qg.validate_latin, table) \
+        == latin_fault(oracles.latin_check, table)
+    if table.max() < n:
+        rule = ca.make_rule(n, 0, 1, table)
+        assert ca.is_left_permutative(rule) \
+            == oracles.left_permutative_sort(rule)
+        assert ca.is_right_permutative(rule) \
+            == oracles.right_permutative_sort(rule)
+
+
+@given(n=st.integers(1, 6), arity=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_permutativity_matches_sort_check(n, arity, seed):
+    table = corrupted_table(n, arity, seed, in_range=True)
+    rule = ca.make_rule(n, 0, arity - 1, table)
+    assert ca.is_left_permutative(rule) == oracles.left_permutative_sort(rule)
+    assert ca.is_right_permutative(rule) \
+        == oracles.right_permutative_sort(rule)
 
 
 def test_dual_of_group_is_inverse_multiplication(quat):
