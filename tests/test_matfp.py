@@ -182,6 +182,11 @@ def test_rref_depends_only_on_the_span(data, pr):
                for i, r in enumerate(basis))
     assert all(mf.in_span(basis, r, p) for r in rows)
     assert mf.rref(data.draw(st.permutations(rows)), p) == basis
+    # entries need not be reduced mod p
+    lifted = [tuple(x + p * (i - j) for j, x in enumerate(r))
+              for i, r in enumerate(rows)]
+    assert mf.rref(lifted, p) == basis
+    assert all(mf.in_span(basis, r, p) for r in lifted)
     combos = data.draw(st.lists(st.lists(st.integers(0, p - 1),
                                          min_size=len(rows),
                                          max_size=len(rows)), max_size=3))
