@@ -8,9 +8,14 @@ increments of dyadic measures exactly representable.
 
 The sweeps (invariance, entropy, fibers, cosets) run on levels: the
 level of depth d holds every positive-mass word of length d as its base-N
-code, with integer numerators over one common denominator.  A pushforward's
-level d comes from its base's level d+1 in one vectorised step and one
-sort-and-sum, so a sweep costs the size of the support, not N**d.
+code, with integer numerators over one common denominator.  A level is
+also read in slices, one per first symbol, taken in chunks of whole slices
+of at most N**(d-1) entries.  A pushforward's level d is its base's level
+d+1 read chunk by chunk: a bipermutative rule maps each slice one to one
+onto the words of length d, so the chunks' images scatter-add into an
+array of all N**d codes, and a level that fits in one chunk is sorted and
+summed in one pass.  So no sweep holds or sorts a whole level d+1 of a
+base kind.
 """
 from __future__ import annotations
 
@@ -19,8 +24,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from typing import Callable, Iterator, Sequence
+from functools import cache, partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -68,6 +73,11 @@ class Level:
     den: int
 
 
+# the entry count of each first-symbol slice of a level, and a builder of
+# the chunk of its slices lo..hi-1
+Parts = tuple[np.ndarray, Callable[[int, int], Level]]
+
+
 def _words(n: int, depth: int, codes: np.ndarray) -> list[Word]:
     """The length-``depth`` words with the given base-``n`` codes."""
     if depth == 0:
@@ -75,47 +85,60 @@ def _words(n: int, depth: int, codes: np.ndarray) -> list[Word]:
     return list(zip(*(d.tolist() for d in unpack_digits(n, depth, codes))))
 
 
-def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A stable order sorting ``keys``, and where each run of equal keys
-    starts in that order."""
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    new = np.ones(len(ordered), dtype=bool)
-    new[1:] = ordered[1:] != ordered[:-1]
-    return order, np.flatnonzero(new)
+def _bounds(lv: Level) -> np.ndarray:
+    """Where each first-symbol slice of a level (depth >= 1) starts, and
+    where the last one ends."""
+    n, below = lv.alphabet_size, lv.alphabet_size ** (lv.depth - 1)
+    return np.searchsorted(lv.codes,
+                           _fit(np.arange(n + 1), (n + 1) * below) * below)
 
 
-def _collect(n: int, depth: int, codes: np.ndarray, nums: np.ndarray,
-             den: int) -> tuple[Level, np.ndarray, np.ndarray]:
-    """The level holding, for each distinct code, the sum of its masses;
-    and the stable order and run starts that grouped the codes."""
-    order, starts = _runs(codes)
-    return (Level(n, depth, codes[order][starts],
-                  np.add.reduceat(nums[order], starts), den), order, starts)
+def _pushed(parts: Sequence[Callable[[], Level]], depth: int,
+            key: Callable[[Level], np.ndarray]) -> Level:
+    """The level of ``depth`` whose mass at each code is the summed mass of
+    the chunk words that ``key`` sends there.
+
+    A single chunk is sorted and summed.  Several are built one by one and
+    scatter-added into an array of all N**depth codes, which is smaller
+    than the level they make up.
+    """
+    if len(parts) == 1:
+        lv = parts[0]()
+        codes, at = np.unique(key(lv), return_inverse=True)
+        nums = np.zeros(len(codes), dtype=lv.nums.dtype)
+        np.add.at(nums, at, lv.nums)
+        return Level(lv.alphabet_size, depth, codes, nums, lv.den)
+    out = None
+    for part in parts:
+        lv = part()
+        if out is None:
+            out = np.zeros(lv.alphabet_size ** depth, dtype=lv.nums.dtype)
+        np.add.at(out, key(lv), lv.nums)
+    codes = np.flatnonzero(out)
+    return Level(lv.alphabet_size, depth, codes, out[codes], lv.den)
 
 
-def _ca_image(rule: LocalRule, codes: np.ndarray, depth: int
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Codes of step(w) and first symbols of w, for the length-(depth+1)
-    words w coded by ``codes``.  Each pair of neighbouring symbols is read
-    off the code as one base-N**2 digit and looked up in the flat table, so
-    only a few arrays of len(codes) are alive at once."""
+def _ca_image(rule: LocalRule, codes: np.ndarray, depth: int) -> np.ndarray:
+    """Codes of step(w) for the length-(depth+1) words w coded by ``codes``.
+    Each pair of neighbouring symbols is read off the code as one base-N**2
+    digit and looked up in the flat table, so only a few arrays of
+    len(codes) are alive at once."""
     n, flat = rule.alphabet_size, rule.table.ravel()
     image = np.zeros_like(codes)
     for k in range(depth - 1, -1, -1):
         pair = (codes // n ** k % (n * n)).astype(np.int64, copy=False)
         image *= n
         image += flat[pair]
-    return image, (codes // n ** depth).astype(np.int64, copy=False)
+    return image
 
 
 class CylinderMeasure:
     """Base evaluator: exact mass of the cylinder fixing a finite prefix.
 
     Subclasses implement ``_eval`` for nonempty words and may implement
-    ``_level`` for depths >= 1.  All kinds satisfy right additivity,
-    eval(w) = sum_b eval(w + (b,)), so a level built by extending the
-    previous one's support loses no positive word.
+    ``_level`` and ``_parts`` for depths >= 1.  All kinds satisfy right
+    additivity, eval(w) = sum_b eval(w + (b,)), so a level built by
+    extending the previous one's support loses no positive word.
     """
 
     kind = "abstract"
@@ -160,6 +183,35 @@ class CylinderMeasure:
         return Level(n, depth, codes[keep], np.array(nums, dtype=_dtype(den)),
                      den)
 
+    def _slices(self, depth: int) -> list[Callable[[], Level]]:
+        """The level of ``depth`` >= 1 as builders of consecutive chunks of
+        whole first-symbol slices, in code order and over one denominator.
+        A chunk holds at most N**(depth-1) entries, or a single slice.  A
+        level that fits is one chunk, built once for every reader;
+        otherwise each chunk is built each time it is read."""
+        sizes, build = self._parts(depth)
+        cap = self.alphabet_size ** (depth - 1)
+        parts, lo, total = [], 0, 0
+        for a, size in enumerate(sizes.tolist()):
+            if total + size > cap:
+                parts.append(partial(build, lo, a))
+                lo, total = a, 0
+            total += size
+        if not parts:
+            whole = build(0, len(sizes))
+            return [lambda: whole]
+        return parts + [partial(build, lo, len(sizes))]
+
+    def _parts(self, depth: int) -> Parts:
+        """The entry count of each first-symbol slice of the level of
+        ``depth`` >= 1, and a builder of its slices lo..hi-1.  This path
+        splits the whole level."""
+        lv = self.level(depth)
+        at = _bounds(lv)
+        return np.diff(at), lambda lo, hi: Level(
+            lv.alphabet_size, depth, lv.codes[at[lo]:at[hi]],
+            lv.nums[at[lo]:at[hi]], lv.den)
+
     def positive_words(self, depth: int) -> Iterator[tuple[Word, Fraction]]:
         """All positive-mass words of the given length, lexicographically."""
         lv = self.level(depth)
@@ -177,54 +229,14 @@ class UniformMeasure(CylinderMeasure):
         return Fraction(1, self.alphabet_size ** len(word))
 
     def _level(self, depth: int) -> Level:
-        size = self.alphabet_size ** depth
-        return Level(self.alphabet_size, depth, np.arange(size, dtype=np.int64),
-                     np.ones(size, dtype=np.int64), size)
+        sizes, build = self._parts(depth)
+        return build(0, len(sizes))
 
-
-def _chain_level(initial: Sequence[Fraction],
-                 transition: Sequence[Sequence[Fraction]], depth: int) -> Level:
-    """Level of a Markov chain: each word is extended by the positive-weight
-    successors of its last symbol."""
-    n = len(initial)
-    unit = math.lcm(*(v.denominator for v in initial),
-                    *(v.denominator for row in transition for v in row))
-    start = np.array([int(v * unit) for v in initial], dtype=_dtype(unit))
-    step = np.array([[int(v * unit) for v in row] for row in transition],
-                    dtype=_dtype(unit))
-    codes = np.flatnonzero(start)
-    nums, den = start[codes], unit
-    for d in range(1, depth):
-        den *= unit
-        codes, nums = _fit(codes, n ** (d + 1)), _fit(nums, den)
-        kids = nums[:, None] * _fit(step, den)[(codes % n).astype(np.int64)]
-        keep = kids > 0
-        codes = (codes[:, None] * n + np.arange(n))[keep]
-        nums = kids[keep]
-    return Level(n, depth, codes, nums, den)
-
-
-class BernoulliMeasure(CylinderMeasure):
-    kind = "bernoulli"
-
-    def __init__(self, weights: Sequence[Fraction]):
-        weights = tuple(Fraction(w) for w in weights)
-        if any(w < 0 for w in weights):
-            raise BadParams("bernoulli weights must be nonnegative")
-        if sum(weights) != 1:
-            raise BadParams("bernoulli weights must sum to 1")
-        super().__init__(len(weights))
-        self.weights = weights
-
-    def _eval(self, word: Word) -> Fraction:
-        p = ONE
-        for s in word:
-            p *= self.weights[s]
-        return p
-
-    def _level(self, depth: int) -> Level:
-        return _chain_level(self.weights, [self.weights] * self.alphabet_size,
-                            depth)
+    def _parts(self, depth: int) -> Parts:
+        n, size = self.alphabet_size, self.alphabet_size ** (depth - 1)
+        return np.full(n, size), lambda lo, hi: Level(
+            n, depth, np.arange(lo * size, hi * size, dtype=np.int64),
+            np.ones((hi - lo) * size, dtype=np.int64), n * size)
 
 
 class MarkovMeasure(CylinderMeasure):
@@ -245,6 +257,14 @@ class MarkovMeasure(CylinderMeasure):
         super().__init__(n)
         self.initial = initial
         self.transition = transition
+        # every weight as an integer over one common unit
+        self._unit = unit = math.lcm(*(v.denominator for v in initial),
+                                     *(v.denominator for r in transition
+                                       for v in r))
+        self._start = np.array([int(v * unit) for v in initial],
+                               dtype=_dtype(unit))
+        self._step = np.array([[int(v * unit) for v in row]
+                               for row in transition], dtype=_dtype(unit))
 
     def _eval(self, word: Word) -> Fraction:
         p = self.initial[word[0]]
@@ -253,7 +273,48 @@ class MarkovMeasure(CylinderMeasure):
         return p
 
     def _level(self, depth: int) -> Level:
-        return _chain_level(self.initial, self.transition, depth)
+        sizes, build = self._parts(depth)
+        return build(0, len(sizes))
+
+    def _parts(self, depth: int) -> Parts:
+        n, unit, start, step = (self.alphabet_size, self._unit, self._start,
+                                self._step)
+        # a slice holds the positive paths of depth - 1 steps from its symbol
+        paths = _fit(np.ones(n, dtype=np.int64), n ** depth)
+        edges = _fit((step > 0).astype(np.int64), n ** depth)
+        for _ in range(depth - 1):
+            paths = edges @ paths
+
+        # the words starting at lo..hi-1, each extended by the positive-
+        # weight successors of its last symbol
+        def chunk(lo: int, hi: int) -> Level:
+            codes = lo + np.flatnonzero(start[lo:hi])
+            nums, den = start[codes], unit
+            for d in range(1, depth):
+                den *= unit
+                codes, nums = _fit(codes, n ** (d + 1)), _fit(nums, den)
+                kids = nums[:, None] * _fit(step, den)[
+                    (codes % n).astype(np.int64)]
+                keep = kids > 0
+                codes = (codes[:, None] * n + np.arange(n))[keep]
+                nums = kids[keep]
+            return Level(n, depth, codes, nums, den)
+        return np.where(start > 0, paths, 0), chunk
+
+
+class BernoulliMeasure(MarkovMeasure):
+    """The Markov chain whose every symbol is drawn from ``weights``."""
+
+    kind = "bernoulli"
+
+    def __init__(self, weights: Sequence[Fraction]):
+        weights = tuple(Fraction(w) for w in weights)
+        if any(w < 0 for w in weights):
+            raise BadParams("bernoulli weights must be nonnegative")
+        if sum(weights) != 1:
+            raise BadParams("bernoulli weights must sum to 1")
+        super().__init__(weights, [weights] * len(weights))
+        self.weights = weights
 
 
 class OrbitMeasure(CylinderMeasure):
@@ -315,6 +376,11 @@ class ProductMeasure(CylinderMeasure):
         if len(pairing) != n:
             raise BadParams("pairing size must equal the combined alphabet")
         self.pairing = pairing
+        # the factor symbols of each combined symbol, and its inverse table
+        self._left, self._right = np.array(pairing).T
+        self._symbol = np.empty((left.alphabet_size, right.alphabet_size),
+                                dtype=np.int64)
+        self._symbol[self._left, self._right] = np.arange(n)
 
     def _eval(self, word: Word) -> Fraction:
         lw = tuple(self.pairing[s][0] for s in word)
@@ -322,30 +388,47 @@ class ProductMeasure(CylinderMeasure):
         return self.left.eval(lw) * self.right.eval(rw)
 
     def _level(self, depth: int) -> Level:
-        n = self.alphabet_size
+        sizes, build = self._parts(depth)
+        return build(0, len(sizes))
+
+    def _parts(self, depth: int) -> Parts:
+        n, left, right = self.alphabet_size, self._left, self._right
         lv, rv = self.left.level(depth), self.right.level(depth)
-        symbol = np.empty((lv.alphabet_size, rv.alphabet_size), dtype=np.int64)
-        for s, (a, b) in enumerate(self.pairing):
-            symbol[a, b] = s
-        # every pair (left word i, right word j), combined symbol by symbol
-        i = np.repeat(np.arange(len(lv.codes)), len(rv.codes))
-        j = np.tile(np.arange(len(rv.codes)), len(lv.codes))
-        digits = zip(unpack_digits(lv.alphabet_size, depth, lv.codes),
-                     unpack_digits(rv.alphabet_size, depth, rv.codes))
-        codes = pack_digits(n, [_fit(symbol[a.astype(np.int64)[i],
-                                            b.astype(np.int64)[j]], n ** depth)
-                                for a, b in digits])
+        digits = [(a.astype(np.int64), b.astype(np.int64)) for a, b in
+                  zip(unpack_digits(lv.alphabet_size, depth, lv.codes),
+                      unpack_digits(rv.alphabet_size, depth, rv.codes))]
         den = lv.den * rv.den
-        nums = _fit(lv.nums, den)[i] * _fit(rv.nums, den)[j]
-        order = np.argsort(codes)
-        return Level(n, depth, codes[order], nums[order], den)
+        lnums, rnums = _fit(lv.nums, den), _fit(rv.nums, den)
+        # slice s pairs the left words starting with a and the right words
+        # starting with b, for (a, b) = pairing[s]
+        lstart, rstart = _bounds(lv), _bounds(rv)
+        width = np.diff(rstart)[right]
+        sizes = np.diff(lstart)[left] * width
+        offset = np.concatenate(([0], np.cumsum(sizes)))
+
+        def chunk(lo: int, hi: int) -> Level:
+            # the chunk's entry e is pair t of slice s, left word major
+            s = np.repeat(np.arange(lo, hi), sizes[lo:hi])
+            t = np.arange(offset[lo], offset[hi]) - offset[s]
+            i = lstart[left[s]] + t // width[s]
+            j = rstart[right[s]] + t % width[s]
+            codes = pack_digits(n, [_fit(self._symbol[a[i], b[j]], n ** depth)
+                                    for a, b in digits])
+            order = np.argsort(codes)
+            return Level(n, depth, codes[order], (lnums[i] * rnums[j])[order],
+                         den)
+        return sizes, chunk
 
 
 class CaPushforward(CylinderMeasure):
     """Image measure under a bipermutative nearest-neighbour rule.
 
     eval(w) sums the base masses of the N fiber preimages of w, so right
-    additivity holds by construction.
+    additivity holds by construction.  Level d is built from the base's
+    level d+1 in chunks of first-symbol slices: step maps the words of one
+    slice one to one onto the words of length d, so a chunk's image codes
+    are scatter-added into an array of all N**d codes, or, when the base
+    level is a single chunk, sorted and summed in one pass.
     """
 
     kind = "pushforward_ca"
@@ -366,14 +449,16 @@ class CaPushforward(CylinderMeasure):
                     for f in fiber_preimages(self.rule, word)), ZERO)
 
     def _level(self, depth: int) -> Level:
-        base = self.base.level(depth + 1)
-        image, _ = _ca_image(self.rule, base.codes, depth)
-        return _collect(self.alphabet_size, depth, image, base.nums,
-                        base.den)[0]
+        return _pushed(self.base._slices(depth + 1), depth,
+                       lambda lv: _ca_image(self.rule, lv.codes, depth))
 
 
 class ShiftPushforward(CylinderMeasure):
-    """Image measure under the one-sided shift: eval(w) = sum_b base(b + w)."""
+    """Image measure under the one-sided shift: eval(w) = sum_b base(b + w).
+
+    Level d sums the base's level d+1 chunk by chunk, with codes taken
+    modulo N**d, which are distinct within one first-symbol slice.
+    """
 
     kind = "pushforward_shift"
 
@@ -386,10 +471,9 @@ class ShiftPushforward(CylinderMeasure):
                     for b in range(self.alphabet_size)), ZERO)
 
     def _level(self, depth: int) -> Level:
-        base = self.base.level(depth + 1)
-        return _collect(self.alphabet_size, depth,
-                        base.codes % self.alphabet_size ** depth,
-                        base.nums, base.den)[0]
+        size = self.alphabet_size ** depth
+        return _pushed(self.base._slices(depth + 1), depth,
+                       lambda lv: lv.codes % size)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +492,12 @@ def pushforward_shift(m: CylinderMeasure) -> CylinderMeasure:
 
 
 def _check_depth(alphabet_size: int, depth: int) -> None:
+    """Reject a negative depth, and one whose N**depth words exceed the
+    bound.  N**depth also bounds the largest level array that the
+    invariance, coset and fiber reductions allocate: they read level
+    depth+1 in chunks of at most N**depth entries (fiber rows still list N
+    weights per word).  A pushforward of a pushforward, an orbit measure or
+    a measure with only ``_eval`` builds its whole level depth+1 first."""
     if depth < 0:
         raise BadParams("depth must be nonnegative")
     if alphabet_size ** depth > WORD_ENUMERATION_BOUND:
@@ -431,17 +521,25 @@ def _max_deviation(a: Level, b: Level) -> tuple[Fraction, Word | None]:
     """max |a(w) - b(w)| over all words, and the first word reaching it
     (None when the levels agree)."""
     den = math.lcm(a.den, b.den)
-    codes = np.concatenate((a.codes, b.codes))
-    order, starts = _runs(codes)
-    codes = codes[order][starts]
-    diff = np.zeros(len(codes), dtype=_dtype(den))
-    diff[np.searchsorted(codes, a.codes)] = _fit(a.nums, den) * (den // a.den)
-    diff[np.searchsorted(codes, b.codes)] -= _fit(b.nums, den) * (den // b.den)
-    diff = np.abs(diff)
-    top = int(np.argmax(diff))
-    if diff[top] == 0:
+    # each word of b: where it would sit among a's words, and whether it does
+    at = np.searchsorted(a.codes, b.codes)
+    np.minimum(at, len(a.codes) - 1, out=at)
+    shared = a.codes[at] == b.codes
+    at = at[shared]
+    diff = _fit(a.nums, den) * (den // a.den)
+    scaled = _fit(b.nums[shared], den)
+    scaled *= den // b.den
+    np.subtract.at(diff, at, scaled)
+    np.absolute(diff, out=diff)
+    alone = _fit(b.nums[~shared], den) * (den // b.den)
+    best = max(diff.max(initial=0), alone.max(initial=0))
+    if best == 0:
         return ZERO, None
-    return Fraction(int(diff[top]), den), _word(a, codes[top])
+    # the first word reaching it, among a's words and among b's other words
+    firsts = [codes[np.argmax(dev == best)]
+              for codes, dev in ((a.codes, diff), (b.codes[~shared], alone))
+              if best in dev]
+    return Fraction(int(best), den), _word(a, min(firsts))
 
 
 def invariance_report(m: CylinderMeasure, depth: int,
@@ -453,7 +551,9 @@ def invariance_report(m: CylinderMeasure, depth: int,
     """
     _check_depth(m.alphabet_size, depth)
     pushed = pushforward_shift(m) if rule is None else pushforward_ca(m, rule)
-    dev, worst = _max_deviation(m.level(depth), pushed.level(depth))
+    # the image first, so the base's level is not held while it is built
+    image = pushed.level(depth)
+    dev, worst = _max_deviation(m.level(depth), image)
     return InvarianceReport("shift" if rule is None else "ca",
                             depth, dev, worst)
 
@@ -498,14 +598,17 @@ def _log2_exponents(value: Fraction,
     return tuple(sorted(pairs.items()))
 
 
-def _entropy_combo(lv: Level) -> dict[int, Fraction]:
-    """H_depth of a level as an exact linear combination {base: coeff} of
-    log2(base).  Each distinct mass is factorized once, and each
-    denominator once per call."""
+def _entropy_combo(chunks: Iterable[Level]) -> dict[int, Fraction]:
+    """H_depth of a level, read in chunks, as an exact linear combination
+    {base: coeff} of log2(base).  Each distinct mass is factorized once,
+    and each denominator once per call."""
     factorize = cache(_factorize)
-    values, counts = np.unique(lv.nums, return_counts=True)
+    counts: Counter = Counter()
+    for lv in chunks:
+        values, n = np.unique(lv.nums, return_counts=True)
+        counts.update(dict(zip(values.tolist(), n.tolist())))
     combo: dict[int, Fraction] = {}
-    for num, count in zip(values.tolist(), counts.tolist()):
+    for num, count in counts.items():
         p = Fraction(num, lv.den)
         for base, e in _log2_exponents(p, factorize):
             combo[base] = combo.get(base, ZERO) - count * e * p
@@ -533,7 +636,7 @@ def _combo_sub(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Frac
 def block_entropy(m: CylinderMeasure, depth: int) -> float:
     """H_depth = -sum p log2 p over length-``depth`` cylinders, in bits."""
     _check_depth(m.alphabet_size, depth)
-    return _combo_float(_entropy_combo(m.level(depth)))
+    return _combo_float(_entropy_combo([m.level(depth)]))
 
 
 def entropy_rate_profile(m: CylinderMeasure, n_max: int) -> list[float]:
@@ -545,7 +648,7 @@ def entropy_rate_profile(m: CylinderMeasure, n_max: int) -> list[float]:
     _check_depth(m.alphabet_size, n_max)
     if n_max < 2:
         return []
-    combos = [_entropy_combo(m.level(k)) for k in range(1, n_max + 1)]
+    combos = [_entropy_combo([m.level(k)]) for k in range(1, n_max + 1)]
     return [_combo_float(_combo_sub(combos[k + 1], combos[k]))
             for k in range(n_max - 1)]
 
@@ -628,37 +731,43 @@ def coset_measure_check(m: CylinderMeasure, g: GroupTable,
     picked = np.flatnonzero(_at_least(own, mass_floor))
     if depth == 0 and len(picked):
         raise WordTooShort(0, 1)     # the empty word has no conditional
-    # runs of the words b + w grouped by w, each ordered by b; summed, they
+    # the words b + w, read in slices of first symbol b; summed over b they
     # are the shift pushforward, whose deviation the report embeds
-    ext, size, k = m.level(depth + 1), m.alphabet_size ** depth, len(members)
-    shifted, order, starts = _collect(m.alphabet_size, depth, ext.codes % size,
-                                      ext.nums, ext.den)
-    ends = np.append(starts[1:], len(order))
-    before = (ext.codes[order] // size).astype(np.int64, copy=False)
-    nums = ext.nums[order]
-    # a run passes if it is one right coset C.x and every weight is 1/|C|
-    coset_id = g.table[np.array(members)].min(axis=0)[before]
-    coset_ok = (np.minimum.reduceat(coset_id, starts)
-                == np.maximum.reduceat(coset_id, starts)) & (ends - starts == k)
-    den = math.lcm(own.den, ext.den)
-    scaled = _fit(nums, den * k) * (den // ext.den * k)
+    size, k = m.alphabet_size ** depth, len(members)
+    parts = m._slices(depth + 1)
+    shifted = _pushed(parts, depth, lambda lv: lv.codes % size)
+    den = math.lcm(own.den, shifted.den)
     pos = np.searchsorted(shifted.codes, own.codes)
-    found = pos < len(starts)
+    found = pos < len(shifted.codes)
     found[found] = shifted.codes[pos[found]] == own.codes[found]
-    want = np.zeros(len(starts), dtype=scaled.dtype)
+    want = np.zeros(len(shifted.codes), dtype=_dtype(den * k))
     want[pos[found]] = _fit(own.nums[found], den * k) * (den // own.den)
-    weight_ok = (np.minimum.reduceat(scaled, starts) == want) \
-        & (np.maximum.reduceat(scaled, starts) == want)
+    # the predecessors of w pass if they are one right coset C.x, of k
+    # members, each with weight 1/|C|: scaled by den * k, the mass of w
+    coset_id = g.table[np.array(members)].min(axis=0).astype(np.int64)
+    count = np.zeros(len(shifted.codes), dtype=np.int64)
+    low = np.full(len(shifted.codes), g.order)
+    high = np.full(len(shifted.codes), -1)
+    uneven = np.zeros(len(shifted.codes), dtype=bool)
+    for part in parts:
+        lv = part()
+        at = np.searchsorted(shifted.codes, lv.codes % size)
+        ids = coset_id[(lv.codes // size).astype(np.int64, copy=False)]
+        np.add.at(count, at, 1)
+        np.minimum.at(low, at, ids)
+        np.maximum.at(high, at, ids)
+        scaled = _fit(lv.nums, den * k) * (den // shifted.den * k)
+        uneven[at[scaled != want[at]]] = True
     ok = found[picked]
-    ok[ok] = (coset_ok & weight_ok)[pos[picked][ok]]
+    ok[ok] = ((low == high) & (count == k) & ~uneven)[pos[picked][ok]]
 
     checked, worst = len(picked), None
     if not ok.all():
         first = int(np.argmin(ok))
         checked = first + 1
-        i = int(picked[first])
-        run = slice(starts[pos[i]], ends[pos[i]]) if found[i] else slice(0, 0)
-        support = before[run].tolist()
+        word = _word(own, own.codes[picked[first]])
+        dist = conditional_dist(m, word)
+        support = [b for b, v in enumerate(dist) if v > 0]
         coset = sorted(int(g.table[c, support[0]]) for c in members) \
             if support else []
         if not support:
@@ -666,11 +775,10 @@ def coset_measure_check(m: CylinderMeasure, g: GroupTable,
         elif support != coset:
             reason = f"support {support} is not the coset {coset}"
         else:
-            mass, target = Fraction(int(own.nums[i]), own.den), Fraction(1, k)
-            dist = [Fraction(v, ext.den) / mass for v in nums[run].tolist()]
-            bad = next(j for j, v in enumerate(dist) if v != target)
-            reason = f"weight at {support[bad]} is {dist[bad]}, expected {target}"
-        worst = (_word(own, own.codes[i]), reason)
+            target = Fraction(1, k)
+            bad = next(b for b in support if dist[b] != target)
+            reason = f"weight at {bad} is {dist[bad]}, expected {target}"
+        worst = (word, reason)
     shift_dev, _ = _max_deviation(own, shifted)
     return CosetMeasureReport(
         depth=depth, mass_floor=mass_floor, subgroup=members,
@@ -710,26 +818,37 @@ def fiber_spectrum(m: CylinderMeasure, rule: LocalRule, depth: int,
     depth is embedded since the K-to-1 statement presumes invariance.
 
     The fiber of an image word w is the set of base words x with
-    step(x) = w, indexed by x's first symbol; grouping the base level by
-    image code lists every fiber's positive members in that order.
+    step(x) = w, indexed by x's first symbol a: its member of first symbol
+    a is the word of the base's slice a that steps to w.
     """
     pushforward_ca(m, rule)     # validates the rule against the measure
     _check_depth(m.alphabet_size, depth)
     _check_depth(m.alphabet_size, depth + 1)
     n = m.alphabet_size
-    base = m.level(depth + 1)
-    image, first = _ca_image(rule, base.codes, depth)
-    pushed, order, starts = _collect(n, depth, image, base.nums, base.den)
-    words = _words(n, depth, pushed.codes)
-    totals, nums = pushed.nums.tolist(), base.nums[order].tolist()
-    firsts, bounds = first[order].tolist(), starts.tolist() + [len(order)]
-    rows = []
-    for r in np.flatnonzero(_at_least(pushed, mass_floor)).tolist():
-        weights = [ZERO] * n
-        for t in range(bounds[r], bounds[r + 1]):
-            weights[firsts[t]] = Fraction(nums[t], totals[r])
-        rows.append(FiberRow(words[r], Fraction(totals[r], base.den),
-                             bounds[r + 1] - bounds[r], tuple(weights)))
+    parts = m._slices(depth + 1)
+    pushed = _pushed(parts, depth,
+                     lambda lv: _ca_image(rule, lv.codes, depth))
+    picked = np.flatnonzero(_at_least(pushed, mass_floor))
+    row = np.full(len(pushed.codes), -1)
+    row[picked] = np.arange(len(picked))
+    totals = pushed.nums[picked].tolist()
+    weights = [ZERO] * (n * len(totals))       # row by row
+    support = np.zeros(len(totals), dtype=np.int64)
+    for part in parts:
+        lv = part()
+        at = row[np.searchsorted(pushed.codes,
+                                 _ca_image(rule, lv.codes, depth))]
+        keep = at >= 0
+        np.add.at(support, at[keep], 1)
+        for i, a, num in zip(at[keep].tolist(),
+                             (lv.codes[keep] // n ** depth).tolist(),
+                             lv.nums[keep].tolist()):
+            weights[i * n + a] = Fraction(num, totals[i])
+    rows = [FiberRow(w, Fraction(t, pushed.den), c,
+                     tuple(weights[i * n:(i + 1) * n]))
+            for i, (w, t, c) in enumerate(zip(
+                _words(n, depth, pushed.codes[picked]), totals,
+                support.tolist()))]
 
     own = m.level(depth)
     if rows:
@@ -738,7 +857,8 @@ def fiber_spectrum(m: CylinderMeasure, rule: LocalRule, depth: int,
         k_est = min(k for k, c in counts.items() if c == top)
         positive = {v for r in rows for v in r.weights if v > 0}
         eta = positive.pop() if len(positive) == 1 else None
-        inc = _combo_sub(_entropy_combo(base), _entropy_combo(own))
+        inc = _combo_sub(_entropy_combo(part() for part in parts),
+                         _entropy_combo([own]))
         target = {b: Fraction(e) for b, e in _factorize(k_est)}
         check = abs(_combo_float(_combo_sub(inc, target)))
     else:

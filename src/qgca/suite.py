@@ -18,7 +18,7 @@ from . import fixtures
 from . import matfp
 from . import measure as mu
 from . import quasigroup as qg
-from .errors import QgcaError
+from .errors import BadParams, QgcaError
 from .measure import format_fraction
 from .fixtures import M7_MATRIX
 from .groups import (cyclic_group, group_product, nonabelian21_group,
@@ -116,7 +116,15 @@ def criterion_2(depth: int | None = None, seed: int = 0) -> list[SuiteRow]:
                  f"step={quat.names(stepped)} preperiod={pre} period={per}")]
 
 
+def _check_suite_depth(depth: int | None) -> None:
+    """Reject a depth below 1: criterion 3 checks depths 1..depth, and with
+    none to check it would report a PASS that checked nothing."""
+    if depth is not None and depth < 1:
+        raise BadParams("depth must be at least 1")
+
+
 def criterion_3(depth: int | None = None, seed: int = 0) -> list[SuiteRow]:
+    _check_suite_depth(depth)
     max_depth = depth if depth is not None else 5
     rng = random.Random(seed or 3)
     rules = [ca.from_quasigroup(qg.builtin("D7")),
@@ -313,6 +321,7 @@ _CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 
 def paper_suite(depth: int | None = None, seed: int = 0) -> list[SuiteRow]:
     """Run every acceptance scenario; deterministic for fixed depth and seed."""
+    _check_suite_depth(depth)
     rows: list[SuiteRow] = []
     for idx, fn in enumerate(_CRITERIA, start=1):
         try:

@@ -6,7 +6,9 @@ scan, pushforwards by full preimage enumeration, and
 invariant factors by Smith normal form of xI - M over F_p[x].  The measure
 sweeps are the recursive per-word engine the level arrays replaced: a
 depth-first walk over words in lexicographic order, pruning zero-mass
-subtrees, with every mass from ``CylinderMeasure.eval``.
+subtrees, with every mass from ``CylinderMeasure.eval``.  The whole-level
+pushforwards are the level engine's first form, which the sliced levels
+replaced: a base's whole level d+1 mapped, sorted and summed by code.
 """
 from __future__ import annotations
 
@@ -22,10 +24,11 @@ from qgca.errors import (AlphabetSizeMismatch, BadEntry, BadParams,
                          NotASubgroup)
 from qgca.matfp import MatrixFp, Poly, p_divmod, p_monic, p_mul, p_norm, p_sub
 from qgca.measure import (WORD_ENUMERATION_BOUND, ZERO, ONE,
-                          CosetMeasureReport, FiberReport, FiberRow,
-                          InvarianceReport, _check_depth, _combo_float,
-                          _combo_sub, _factorize, _log2_exponents,
-                          conditional_dist, pushforward_ca, pushforward_shift)
+                          CaPushforward, CosetMeasureReport, FiberReport,
+                          FiberRow, InvarianceReport, Level, ShiftPushforward,
+                          _check_depth, _combo_float, _combo_sub, _factorize,
+                          _log2_exponents, conditional_dist, pushforward_ca,
+                          pushforward_shift)
 
 
 def latin_check(table) -> None:
@@ -115,6 +118,37 @@ def pushforward_bruteforce(m, rule, word) -> Fraction:
         if step(rule, cand) == w:
             total += m.eval(cand)
     return total
+
+
+def _ca_image(rule, codes, depth):
+    """Codes of step(w) for the length-(depth+1) words w coded by ``codes``,
+    read pair by pair off the code."""
+    n, flat = rule.alphabet_size, rule.table.ravel()
+    image = np.zeros_like(codes)
+    for k in range(depth - 1, -1, -1):
+        pair = (codes // n ** k % (n * n)).astype(np.int64, copy=False)
+        image *= n
+        image += flat[pair]
+    return image
+
+
+def whole_level(m, depth):
+    """Level ``depth`` of ``m``, with every CA or shift pushforward in it
+    built from its base's whole level depth+1: each word mapped to its image
+    code, the codes argsorted and the masses summed over each run.  Other
+    kinds give their own level."""
+    if depth == 0 or not isinstance(m, (CaPushforward, ShiftPushforward)):
+        return m.level(depth)
+    base, n = whole_level(m.base, depth + 1), m.alphabet_size
+    keys = _ca_image(m.rule, base.codes, depth) \
+        if isinstance(m, CaPushforward) else base.codes % n ** depth
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    new = np.ones(len(ordered), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(new)
+    return Level(n, depth, ordered[starts],
+                 np.add.reduceat(base.nums[order], starts), base.den)
 
 
 def xi_table_bruteforce(rule, length: int) -> dict[tuple, tuple]:

@@ -376,3 +376,18 @@ def test_mu_negative_depth_is_bad_input(capsys, argv):
     code, out, err = run(capsys, *argv, "--depth", "-1")
     assert (code, out) == (2, "")
     assert "depth must be nonnegative" in err
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_paper_suite_rejects_a_depth_below_one(capsys, monkeypatch, depth):
+    from qgca import suite
+    from qgca.errors import BadParams
+    ran = []
+    monkeypatch.setattr(suite, "_CRITERIA",
+                        [lambda *args: ran.append(args) or []])
+    code, out, err = run(capsys, "paper-suite", "--depth", depth)
+    assert (code, out, ran) == (2, "", [])
+    assert err == "input error: depth must be at least 1"
+    for call in (suite.paper_suite, suite.criterion_3):
+        with pytest.raises(BadParams, match="depth must be at least 1"):
+            call(int(depth), 0)

@@ -1,0 +1,158 @@
+"""Sliced levels against the whole-level pushforward oracle, and the memory
+the sliced reductions allocate.
+
+A pushforward's level d is built from its base's level d+1 one chunk of
+first-symbol slices at a time.  ``oracles.whole_level`` builds it from the
+whole level instead; the two must agree exactly, array dtypes included.
+"""
+import random
+import tracemalloc
+from fractions import Fraction as F
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from qgca import automaton as ca
+from qgca import fixtures
+from qgca import measure as mu
+from qgca import quasigroup as qg
+from qgca.suite import random_bipermutative_rule
+from test_measure_levels import base_measures, rules
+
+INT64 = np.dtype(np.int64)
+
+
+def arrays(lv):
+    """Everything a level holds, dtypes included."""
+    return (lv.alphabet_size, lv.depth, lv.den, lv.codes.dtype,
+            lv.nums.dtype, lv.codes.tolist(), lv.nums.tolist())
+
+
+def check_slices(m, depth):
+    """The chunks of level ``depth`` >= 1 make up that level, each of whole
+    first-symbol slices and at most N**(depth-1) entries unless it holds one
+    slice; the level is one chunk exactly when it has that few entries."""
+    n, cap = m.alphabet_size, m.alphabet_size ** (depth - 1)
+    chunks = [part() for part in m._slices(depth)]
+    lv = m.level(depth)
+    joined = mu.Level(n, depth, np.concatenate([c.codes for c in chunks]),
+                      np.concatenate([c.nums for c in chunks]), lv.den)
+    assert arrays(joined) == arrays(lv)
+    assert lv.codes.tolist() == sorted(set(lv.codes.tolist()))
+    assert all(c.den == lv.den for c in chunks)
+    firsts = [{code // cap for code in c.codes.tolist()} for c in chunks]
+    for c, f in zip(chunks, firsts):
+        assert len(c.codes) <= cap or len(f) == 1
+    assert all(max(f) < min(g) for f, g in zip(firsts, firsts[1:]) if f and g)
+    assert (len(chunks) == 1) == (len(lv.codes) <= cap)
+
+
+def check_base_dtypes(m, depth):
+    """A base kind's arrays are int64 while their values fit."""
+    lv = m.level(depth)
+    assert lv.codes.dtype == mu._dtype(m.alphabet_size ** depth)
+    assert lv.nums.dtype == mu._dtype(lv.den)
+
+
+@st.composite
+def nested(draw, n):
+    """A base measure under zero to three CA or shift pushforwards."""
+    m = draw(base_measures(n))
+    for _ in range(draw(st.integers(0, 3))):
+        m = mu.pushforward_shift(m) if draw(st.booleans()) \
+            else mu.pushforward_ca(m, draw(rules(n)))
+    return m
+
+
+@settings(max_examples=120)
+@given(data=st.data(), n=st.integers(2, 5), depth=st.integers(0, 3))
+def test_sliced_levels_match_the_whole_level_oracle(data, n, depth):
+    m = data.draw(nested(n))
+    assert arrays(m.level(depth)) == arrays(oracles.whole_level(m, depth))
+    check_slices(m, depth + 1)
+    inner = m
+    while hasattr(inner, "base"):
+        inner = inner.base
+    check_base_dtypes(inner, depth + 1)
+
+
+def test_nested_images_of_every_base_kind_match_the_oracle():
+    rng = random.Random(6)
+    c2, q = mu.UniformMeasure(2), mu.OrbitMeasure(2, [0, 1, 1])
+    bases = [mu.UniformMeasure(4), mu.BernoulliMeasure([F(1, 2), F(1, 4),
+                                                        F(0), F(1, 4)]),
+             mu.MarkovMeasure([F(1), F(0), F(0), F(0)],
+                              [[F(0), F(1, 2), F(1, 2), F(0)]] * 4),
+             mu.OrbitMeasure(4, [0, 3, 3, 1]), mu.ProductMeasure(c2, q),
+             mu.ProductMeasure(q, c2, [(1, 1), (0, 0), (1, 0), (0, 1)])]
+    for base in bases:
+        rule = random_bipermutative_rule(4, rng)
+        for m in (mu.pushforward_ca(mu.pushforward_shift(base), rule),
+                  mu.pushforward_shift(mu.pushforward_ca(base, rule)),
+                  mu.pushforward_ca(mu.pushforward_ca(base, rule), rule)):
+            for depth in range(5):
+                assert arrays(m.level(depth)) \
+                    == arrays(oracles.whole_level(m, depth))
+        for depth in range(1, 6):
+            check_slices(base, depth)
+            check_base_dtypes(base, depth)
+            assert list(base.positive_words(depth)) \
+                == list(oracles.positive_words(base, depth))
+
+
+def test_sliced_levels_widen_to_python_ints_past_int64():
+    p = 2 ** 31 - 1
+    xor = ca.from_quasigroup(qg.builtin("ledrappier", [2, 1, 1]))
+    rule4 = random_bipermutative_rule(4, random.Random(4))
+    # several chunks: the scatter-add runs on Python-int masses
+    bern = mu.BernoulliMeasure([F(1, p), F(p - 1, p)])
+    # one chunk: the sort-and-sum runs on Python-int masses
+    chain = mu.MarkovMeasure([F(1), F(0)], [[F(1, p), F(p - 1, p)],
+                                            [F(0), F(1)]])
+    # codes past 2**63 too, in one chunk
+    orbit = mu.ProductMeasure(chain, mu.OrbitMeasure(2, [0, 1, 1]))
+    for base, rule, depths in ((bern, xor, range(1, 5)),
+                               (chain, xor, range(1, 8)),
+                               (orbit, rule4, (3, 30, 31, 32, 40))):
+        for m in (mu.pushforward_ca(base, rule), mu.pushforward_shift(base),
+                  mu.pushforward_ca(mu.pushforward_shift(base), rule)):
+            for depth in depths:
+                lv = m.level(depth)
+                assert arrays(lv) == arrays(oracles.whole_level(m, depth))
+                check_slices(m, depth)
+        check_slices(base, max(depths))
+        check_base_dtypes(base, max(depths))
+    assert mu.pushforward_ca(bern, xor).level(3).nums.dtype == object
+    assert mu.pushforward_ca(chain, xor).level(4).nums.dtype == object
+    assert mu.pushforward_ca(orbit, rule4).level(32).codes.dtype == object
+    assert len(mu.pushforward_ca(bern, xor)._slices(4)) > 1
+    assert len(chain._slices(5)) == len(orbit._slices(40)) == 1
+
+
+def traced_peak(fn, *args):
+    """The result of a call and the peak of its traced allocations."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_d7_depth6_invariance_holds_no_level_seven():
+    rule = ca.from_quasigroup(qg.builtin("D7"))
+    rep, peak = traced_peak(mu.invariance_report, mu.UniformMeasure(7), 6,
+                            rule)
+    assert (rep.max_abs_deviation, rep.worst_word) == (0, None)
+    # the whole level 7 alone is 2 * 7**7 entries
+    assert peak <= 8 * 7 ** 6 * INT64.itemsize
+
+
+def test_z7x4_coset_check_holds_no_level_two():
+    g, m = fixtures.resolve_group("@z7x4"), mu.UniformMeasure(2401)
+    rep, peak = traced_peak(mu.coset_measure_check, m, g, [0], 1)
+    support = list(range(2401))
+    assert (rep.passed, rep.words_checked, rep.worst_word, rep.worst_reason,
+            rep.shift_deviation) \
+        == (False, 1, (0,), f"support {support} is not the coset [0]", 0)
+    assert peak < 2401 ** 2 * INT64.itemsize
