@@ -52,20 +52,33 @@ def _first(mask: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(v) for v in np.unravel_index(i, mask.shape))
 
 
-def _non_endomorphism(img: np.ndarray, gt: np.ndarray) -> tuple[int, ...] | None:
-    """The first row-major (a, b) with img(a.b) != img(a).img(b), or None."""
+def _non_endomorphism(img: np.ndarray, g: GroupTable) -> tuple[int, ...] | None:
+    """The first row-major (a, b) with img(a.b) != img(a).img(b), or None.
+
+    Certificate first: the equation is checked only for a in the generating
+    set S = g.generators, which reads |S|.N entries.  That suffices, since
+    the set of a with img(a.b) = img(a).img(b) for all b is closed under
+    products: for two such a, a', associativity gives img(a.a'.b) =
+    img(a).img(a'.b) = img(a).img(a').img(b) = img(a.a').img(b).  So the set
+    holds the subgroup <S> = G.  Every GroupTable is associative, verified
+    or by construction.  Only when the certificate fails does the full
+    row-major scan run, to find the first witness.
+    """
+    gt, s = g.table, list(g.generators)
+    if np.array_equal(img[gt[s]], gt[img[s]][:, img]):
+        return None
     return _first(img[gt] != gt[np.ix_(img, img)])
 
 
-def _affine_fault(t: np.ndarray, gt: np.ndarray, phi0: np.ndarray,
+def _affine_fault(t: np.ndarray, g: GroupTable, phi0: np.ndarray,
                   phi1: np.ndarray) -> tuple[str, tuple[int, ...]] | None:
     """("affine", (a, b)) for the first pair with t(a, b) != phi0(a).phi1(b),
     else ("phi0" or "phi1", witness) for a map that is no endomorphism."""
-    bad = _first(t != gt[np.ix_(phi0, phi1)])
+    bad = _first(t != g.table[np.ix_(phi0, phi1)])
     if bad is not None:
         return "affine", bad
     for name, img in (("phi0", phi0), ("phi1", phi1)):
-        bad = _non_endomorphism(img, gt)
+        bad = _non_endomorphism(img, g)
         if bad is not None:
             return name, bad
     return None
@@ -83,7 +96,7 @@ def decompose_affine(rule: LocalRule, g: GroupTable) -> AffineDecomposition:
         raise BadParams("affine decomposition needs an abelian group")
     t, e = rule.table, g.identity
     phi0, phi1 = t[:, e], t[e, :]
-    fault = _affine_fault(t, g.table, phi0, phi1)
+    fault = _affine_fault(t, g, phi0, phi1)
     if fault is not None:
         name, witness = fault
         if name == "affine":
@@ -119,20 +132,26 @@ def _verify_endomorphic(rule: LocalRule, g: GroupTable) -> None:
     equivalent factored test is used: phi factors through phi(.,e) and
     phi(e,.), both are endomorphisms, and their images commute elementwise.
     Over a product group shift the two tests accept the same rules.
+
+    The commutation is certified on the generators S: if phi0(s) commutes
+    with phi1(s') for all s, s' in S, then phi0(G) = <phi0(S)> lies in the
+    centralizer of phi1(S), a subgroup, and so each phi0(a) commutes with
+    <phi1(S)> = phi1(G).  The full scan runs only to find the witness.
     """
     t, gt, e, n = rule.table, g.table, g.identity, g.order
     if int(t[e, e]) != e:
         raise NotEndomorphicCA((e, e, e, e))
     phi0, phi1 = t[:, e], t[e, :]
-    fault = _affine_fault(t, gt, phi0, phi1)
+    fault = _affine_fault(t, g, phi0, phi1)
     if fault is not None:
         name, (x, y) = fault
         raise NotEndomorphicCA({"affine": (x, e, e, y), "phi0": (x, y, e, e),
                                 "phi1": (e, e, x, y)}[name])
     # t(a, b) = phi0(a).phi1(b) by now; ask that it equal phi1(b).phi0(a)
-    bad = _first(t != gt[np.ix_(phi1, phi0)].T)
-    if bad is not None:
-        a, b = bad
+    s = list(g.generators)
+    x, y = phi0[s], phi1[s]
+    if not np.array_equal(gt[np.ix_(x, y)], gt[np.ix_(y, x)].T):
+        a, b = _first(t != gt[np.ix_(phi1, phi0)].T)
         raise NotEndomorphicCA((e, a, b, e))
     if n ** 4 <= DIRECT_QUADRUPLE_BOUND:
         lhs = t[gt.reshape(n, n, 1, 1), gt.reshape(1, 1, n, n)]
@@ -261,29 +280,24 @@ def h_max(g: GroupTable) -> float:
 # linear view of rho on elementary abelian groups
 
 def elementary_structure(g: GroupTable) -> tuple[int, int] | None:
-    """(p, k) when g is elementary abelian of order p^k, else None."""
-    if not g.abelian:
-        return None
-    n = g.order
-    if n == 1:
+    """(p, k) when g is elementary abelian of order p^k, else None.
+
+    An abelian group whose generators all have prime order p is (Z/p)^k,
+    and each greedy generator then multiplies the subgroup's order by p,
+    so k is the number of generators.
+    """
+    if not g.abelian or g.order == 1:
         return None
     p = 2                  # the smallest divisor >= 2, hence prime
-    while n % p:
+    while g.order % p:
         p += 1
-    k = 0
-    rest = n
-    while rest % p == 0:
-        rest //= p
-        k += 1
-    if rest != 1:
-        return None
-    idx = np.arange(n)
-    power = idx
+    s = np.array(g.generators)
+    power = s
     for _ in range(p - 1):
-        power = g.table[power, idx]
+        power = g.table[power, s]
     if (power != g.identity).any():
         return None
-    return p, k
+    return p, len(s)
 
 
 @dataclass(frozen=True)
@@ -306,20 +320,14 @@ def linear_view(g: GroupTable, rho) -> LinearView | None:
         return None
     p, k = struct
     r = np.asarray(rho, dtype=g.table.dtype)
-    if _non_endomorphism(r, g.table) is not None:
+    if _non_endomorphism(r, g) is not None:
         return None
 
-    # greedy basis in index order; span holds every element reached so far
+    # the greedy generators form a basis; span holds every element reached
+    basis = g.generators
     coord = np.zeros((g.order, k), dtype=np.int64)
-    known = np.zeros(g.order, dtype=bool)
-    known[g.identity] = True
     span = np.array([g.identity])
-    basis: list[int] = []
-    for a in range(g.order):
-        if known[a]:
-            continue
-        i = len(basis)
-        basis.append(a)
+    for i, a in enumerate(basis):
         layers = [span]
         for t in range(1, p):
             cur = g.table[layers[-1], a]
@@ -327,17 +335,14 @@ def linear_view(g: GroupTable, rho) -> LinearView | None:
             coord[cur, i] = t
             layers.append(cur)
         span = np.concatenate(layers)
-        known[span] = True
-        if len(span) == g.order:
-            break
     # column j holds the coordinates of rho(basis[j])
-    matrix = MatrixFp.from_rows(p, coord[r[basis]].T)
+    matrix = MatrixFp.from_rows(p, coord[r[list(basis)]].T)
     m = np.asarray(matrix.rows, dtype=np.int64)
     if not np.array_equal(coord @ m.T % p, coord[r]):
         return None  # pragma: no cover - re-verify the matrix reproduces rho
     coords = {a: tuple(v) for a, v in enumerate(coord.tolist())}
     elements = {v: a for a, v in coords.items()}
-    return LinearView(p, k, tuple(basis), coords, elements, matrix)
+    return LinearView(p, k, basis, coords, elements, matrix)
 
 
 def subspace_to_subgroup(view: LinearView, basis_rows) -> tuple[int, ...]:
@@ -378,8 +383,7 @@ def affine_matrix_system(m0: MatrixFp, m1: MatrixFp | None = None
         return pack_digits(p, [sum(c * d for c, d in zip(row, digits))
                                for row in mat.rows])
 
-    img0, img1 = images(m0), images(m1)
-    return g, make_rule(g.order, 0, 1, g.table[img0][:, img1])
+    return g, make_rule(g.order, 0, 1, g.table[np.ix_(images(m0), images(m1))])
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +419,11 @@ def lemma_audit(g: GroupTable, rule: LocalRule) -> LemmaAuditReport:
     """Audit the single-orbit and simple-form equivalences on one instance.
 
     Nothing is assumed: each side of each equivalence is computed by its own
-    enumeration, and disagreements ship a witness.
+    enumeration, and disagreements ship a witness.  The trivial group has
+    no non-identity symbol and no proper subgroup, so it is rejected.
     """
+    if g.order == 1:
+        raise BadParams("the trivial group has no non-identity symbol to audit")
     kern = kernel(rule, g)
     orb = rho_orbits(kern.rho, g)
     view = linear_view(g, kern.rho)

@@ -8,26 +8,59 @@ from the construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product as cartesian
 
 import numpy as np
 
 from .errors import BadParams, NotAGroup, OrderTooLarge, ParseError
-from .quasigroup import (Quasigroup, builtin, format_table, pack_digits,
-                         parse_table, product, unpack_digits)
+from .quasigroup import Quasigroup, builtin, format_table, parse_table, product
 
 ASSOCIATIVITY_CHECK_BOUND = 1024
 
 
 @dataclass(frozen=True, eq=False)
 class GroupTable(Quasigroup):
-    """Cayley table with identity index, inverse map, and abelian flag."""
+    """Cayley table with identity index and inverse map."""
 
     identity: int
     inverse: tuple[int, ...]
-    abelian: bool
 
     def inv(self, a: int) -> int:
         return self.inverse[a]
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A greedy generating set in index order: each member is the first
+        element outside the subgroup generated by the earlier ones.
+
+        The subgroup is grown on the table by right-multiplying by the
+        generators; in a finite group the elements so reached from the
+        identity are the subgroup the generators generate.
+        """
+        inside = np.zeros(self.order, dtype=bool)
+        inside[self.identity] = True
+        gens: list[int] = []
+        while not inside.all():
+            gens.append(int(inside.argmin()))
+            # the subgroup so far is closed under the earlier generators
+            frontier, cols = np.flatnonzero(inside), gens[-1:]
+            while frontier.size:
+                new = np.zeros_like(inside)
+                new[self.table[np.ix_(frontier, cols)]] = True
+                frontier = np.flatnonzero(new & ~inside)
+                inside[frontier] = True
+                cols = gens
+        return tuple(gens)
+
+    @cached_property
+    def abelian(self) -> bool:
+        """Whether the generators commute pairwise: the centralizer of a
+        set is a subgroup, so then each generator's centralizer is G, and
+        every element commutes with G."""
+        s = list(self.generators)
+        block = self.table[np.ix_(s, s)]
+        return bool((block == block.T).all())
 
     def quasigroup(self) -> Quasigroup:
         return Quasigroup(self.symbols, self.table)
@@ -56,8 +89,7 @@ def _finish(q: Quasigroup, *, check_associativity: bool) -> GroupTable:
     if not (np.array_equal(t[idx, inv], np.full(n, e))
             and np.array_equal(t[inv, idx], np.full(n, e))):
         raise NotAGroup("inverses are not two-sided")
-    return GroupTable(q.symbols, q.table, e, tuple(int(v) for v in inv),
-                      bool((t == t.T).all()))
+    return GroupTable(q.symbols, q.table, e, tuple(int(v) for v in inv))
 
 
 def from_quasigroup(q: Quasigroup) -> GroupTable:
@@ -84,13 +116,22 @@ def nonabelian21_group() -> GroupTable:
 
 
 def elementary_abelian_group(p: int, k: int) -> GroupTable:
-    """(Z/p)^k with index = base-p digits, most significant first."""
+    """(Z/p)^k with index = base-p digits, most significant first.
+
+    The table grows one low digit at a time: the sum of x.d and y.d' is
+    (x + y).(d + d'), so each step is one broadcast of the previous table
+    against the p x p table of Z/p.
+    """
     if p < 2 or k < 1:
         raise BadParams(f"need p >= 2 and k >= 1, got ({p}, {k})")
-    digits = unpack_digits(p, k, np.arange(p ** k, dtype=np.int32))
-    table = pack_digits(p, (d[:, None] + d[None, :] for d in digits))
-    symbols = tuple("".join(map(str, ds))
-                    for ds in zip(*(d.tolist() for d in digits)))
+    digit = np.arange(p, dtype=np.int32)
+    z_p = (digit[:, None] + digit[None, :]) % p
+    table = z_p
+    for _ in range(k - 1):
+        m = len(table) * p
+        table = (table[:, None, :, None] * p
+                 + z_p[None, :, None, :]).reshape(m, m)
+    symbols = tuple(map("".join, cartesian(list(map(str, range(p))), repeat=k)))
     q = Quasigroup(symbols, np.ascontiguousarray(table, dtype=np.int32))
     q.table.flags.writeable = False
     return _finish(q, check_associativity=False)

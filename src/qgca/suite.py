@@ -12,6 +12,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import automaton as ca
 from . import eca
 from . import fixtures
@@ -212,9 +214,8 @@ def criterion_6(depth: int | None = None, seed: int = 0) -> list[SuiteRow]:
     g, rule = fixtures._z7x4()
     dec = eca.decompose_affine(rule, g)
 
-    p, k = 7, 4
-    m_action = tuple(qg.pack_digits(p, M7_MATRIX.vec(qg.unpack_digits(p, k, a)))
-                     for a in range(g.order))
+    digits = np.array(qg.unpack_digits(7, 4, np.arange(g.order)))
+    m_action = tuple(qg.pack_digits(7, np.array(M7_MATRIX.rows) @ digits).tolist())
     identity_map = tuple(range(g.order))
     ok_dec = dec.phi0 == m_action and dec.phi1 == identity_map
     rows.append(_row(6, "z7x4-decompose", ok_dec,

@@ -107,6 +107,17 @@ def endomorphic_bruteforce(rule, g):
     return None
 
 
+def non_homomorphic_pair(img, g):
+    """The first pair (a, b) in row-major order with img(a.b) !=
+    img(a).img(b), or None when img is an endomorphism.  Scans all N^2
+    pairs."""
+    rows = g.rows
+    for a, b in product(range(g.order), repeat=2):
+        if img[rows[a][b]] != rows[img[a]][img[b]]:
+            return a, b
+    return None
+
+
 def pushforward_bruteforce(m, rule, word) -> Fraction:
     """Mass of the full preimage of a cylinder: every candidate word one
     longer, filtered by stepping."""

@@ -320,6 +320,7 @@ GOLDEN_COMMANDS = {
     "eca_audit_ledrappier321_cyclic3.tsv": ("eca", "audit",
                                             "{fx}/ledrappier321.rule",
                                             "{fx}/cyclic3.group"),
+    "eca_audit_z7x4.tsv": ("eca", "audit", "@z7x4", "@z7x4"),
 }
 
 
@@ -365,6 +366,12 @@ def test_eca_hmax_rejects_the_trivial_group(capsys):
     code, out, err = run(capsys, "eca", "hmax", "@cyclic,1")
     assert (code, out) == (2, "")
     assert "the trivial group has no proper subgroup" in err
+
+
+def test_eca_audit_rejects_the_trivial_group(capsys):
+    code, out, err = run(capsys, "eca", "audit", "@cyclic,1", "@cyclic,1")
+    assert (code, out) == (2, "")
+    assert "the trivial group has no non-identity symbol to audit" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +18,8 @@ from qgca.errors import (AlphabetMismatch, BadParams, NotAffine, NotAGroup,
 from qgca.fixtures import M7_MATRIX
 from qgca.suite import random_bipermutative_rule
 
-from oracles import endomorphic_bruteforce, subgroups_bitmask
+from oracles import (endomorphic_bruteforce, non_homomorphic_pair,
+                     subgroups_bitmask)
 
 
 def led_rule(p, c0, c1):
@@ -317,6 +319,13 @@ def _bijection(draw, g):
     if draw(st.booleans()):
         rest = draw(st.permutations([a for a in range(n) if a != e]))
         return [e if a == e else rest[a - (a > e)] for a in range(n)]
+    return draw(_automorphism(g))
+
+
+@st.composite
+def _automorphism(draw, g):
+    """a -> (c a c^-1)^k, with k = 1 unless g is abelian."""
+    n = g.order
     c = draw(st.integers(0, n - 1))
     k = draw(st.sampled_from([k for k in range(1, n) if math.gcd(k, n) == 1])) \
         if g.abelian else 1
@@ -367,6 +376,131 @@ def test_endomorphism_check_memory_on_z7x4():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < bound, (fn.__name__, peak)
+
+
+_CERTIFICATE_GROUPS = [lambda n=n: gr.cyclic_group(n) for n in range(2, 13)] + [
+    gr.quaternion_group,
+    lambda: gr.group_product(gr.cyclic_group(2), gr.quaternion_group()),
+    gr.nonabelian21_group,
+    lambda: gr.elementary_abelian_group(2, 3),
+    lambda: gr.elementary_abelian_group(3, 2)]
+
+
+@st.composite
+def _group_map(draw, g):
+    """An automorphism (a conjugation times a power map), the same with its
+    last element's image redrawn, a random permutation, or a random map
+    fixing the identity."""
+    n, e = g.order, g.identity
+    kind = draw(st.sampled_from(["automorphism", "late", "permutation",
+                                 "fixes-e"]))
+    if kind == "permutation":
+        return draw(st.permutations(range(n)))
+    if kind == "fixes-e":
+        img = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        img[e] = e
+        return img
+    img = draw(_automorphism(g))
+    if kind == "late":
+        img[n - 1] = draw(st.integers(0, n - 1))
+    return img
+
+
+@settings(max_examples=300)
+@given(data=st.data(), make=st.sampled_from(_CERTIFICATE_GROUPS))
+def test_endomorphism_certificate_matches_the_full_scan(data, make):
+    g = make()
+    img = data.draw(_group_map(g))
+    found = eca._non_endomorphism(np.array(img, dtype=np.int32), g)
+    assert found == non_homomorphic_pair(img, g)
+
+
+@pytest.mark.parametrize("make", _CERTIFICATE_GROUPS + [
+    lambda: gr.cyclic_group(1),
+    lambda: gr.elementary_abelian_group(2, 5),
+    lambda: gr.group_product(gr.cyclic_group(3), gr.nonabelian21_group())])
+def test_generators_are_greedy_in_index_order(make):
+    _check_greedy_generators(make())
+
+
+@settings(max_examples=60)
+@given(data=st.data(), make=st.sampled_from(_CERTIFICATE_GROUPS[-5:]))
+def test_generators_of_relabelled_groups(data, make):
+    """The same groups with their elements renumbered, so that the earlier
+    generators need not commute with the next one."""
+    g = make()
+    perm = data.draw(st.permutations(range(g.order)))
+    table = np.empty_like(g.table)
+    table[np.ix_(perm, perm)] = np.array(perm)[g.table]
+    _check_greedy_generators(gr.from_quasigroup(qg.validate_latin(table)))
+
+
+def _check_greedy_generators(g):
+    gens = g.generators
+    for i, s in enumerate(gens):
+        earlier = qg.closure(g, (g.identity,) + gens[:i])
+        assert s not in earlier
+        assert set(range(s)) <= earlier         # s is the first element outside
+    assert qg.closure(g, (g.identity,) + gens) == frozenset(range(g.order))
+    assert g.abelian == bool((g.table == g.table.T).all())
+
+
+@pytest.mark.parametrize("make", _CERTIFICATE_GROUPS + [
+    lambda: gr.cyclic_group(1),
+    lambda: gr.group_product(gr.cyclic_group(2), gr.cyclic_group(4)),
+    lambda: gr.group_product(gr.cyclic_group(3), gr.cyclic_group(9)),
+    lambda: gr.elementary_abelian_group(5, 2)])
+def test_elementary_structure_matches_element_orders(make):
+    g = make()
+    n = g.order
+    p = next((d for d in range(2, n + 1) if n % d == 0), None)
+    k = round(math.log(n, p)) if p else 0
+    expected = None
+    if (p and p ** k == n and bool((g.table == g.table.T).all())
+            and all(_power(g, a, p) == g.identity for a in range(n))):
+        expected = (p, k)
+    assert eca.elementary_structure(g) == expected
+
+
+def _power(g, a, m):
+    out = g.identity
+    for _ in range(m):
+        out = g.mul(out, a)
+    return out
+
+
+def test_z7x4_generators_read_only_the_table():
+    g = gr.elementary_abelian_group(7, 4)
+    assert g.generators == (1, 7, 49, 343)
+    assert "rows" not in vars(g)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_elementary_abelian_group_memory():
+    """The (Z/7)^4 table is built under 2 n^2 int32 entries."""
+    n = 7 ** 4
+    assert _traced_peak(gr.elementary_abelian_group, 7, 4) < 2 * n * n * 4
+
+
+def test_audit_memory_on_z7x4():
+    """With bipermutativity cached, the kernel, the decomposition and the
+    audit peak under 1.5 n^2 int32 entries: one n^2 read for the affine
+    test, and certificates for the rest."""
+    g, rule = eca.affine_matrix_system(M7_MATRIX)
+    assert ca.is_bipermutative(rule)
+    bound = 1.5 * g.order ** 2 * 4
+    for fn, args in ((eca.kernel, (rule, g)), (eca.decompose_affine, (rule, g)),
+                     (eca.lemma_audit, (g, rule))):
+        peak = _traced_peak(fn, *args)
         assert peak < bound, (fn.__name__, peak)
 
 
@@ -532,6 +666,12 @@ def test_audit_z3_identity_disagrees():
     assert rep.orbits == ((1,), (2,))
     assert rep.has_invariant_subgroup is False
     assert rep.rcf_lemma_verdict == "AGREE"          # 1x1 identity matrix
+
+
+def test_audit_rejects_the_trivial_group():
+    g = gr.cyclic_group(1)
+    with pytest.raises(BadParams, match="trivial group"):
+        eca.lemma_audit(g, ca.from_quasigroup(g.quasigroup()))
 
 
 def test_audit_xor_agrees():
