@@ -283,7 +283,7 @@ def _cmd_eca_kernel(args) -> int:
     lines = ["symbol\trho\tperiod\tkernel_word"]
     shown = range(g.order) if g.order <= 64 else range(8)
     for a in shown:
-        word = " ".join(g.symbols[v] for v in rep.zeta[a]) \
+        word = " ".join(g.symbols[v] for v in rep.word(a)) \
             if rep.periods[a] <= 16 else f"(period {rep.periods[a]})"
         lines.append(f"{g.symbols[a]}\t{g.symbols[rep.rho[a]]}\t"
                      f"{rep.periods[a]}\t{word}")

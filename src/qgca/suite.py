@@ -222,10 +222,10 @@ def criterion_6(depth: int | None = None, seed: int = 0) -> list[SuiteRow]:
                      f"phi0_is_M={dec.phi0 == m_action} "
                      f"phi1_is_identity={dec.phi1 == identity_map}"))
 
-    kern = eca.kernel(rule, g)
-    ok_rho = kern.rho == eca.affine_rho(g, dec)
+    audit = eca.lemma_audit(g, rule)          # its rho is the kernel's
+    ok_rho = audit.rho == eca.affine_rho(g, dec)
     neg_action = tuple(g.inv(v) for v in m_action)
-    ok_rho = ok_rho and kern.rho == neg_action
+    ok_rho = ok_rho and audit.rho == neg_action
     rows.append(_row(6, "z7x4-kernel-rho", ok_rho,
                      "rho == -phi0 action"))
 
@@ -237,7 +237,6 @@ def criterion_6(depth: int | None = None, seed: int = 0) -> list[SuiteRow]:
                      f"simple={result.simple} blocks={len(result.invariant_factors)} "
                      f"eigenvalue_scan={roots}"))
 
-    audit = eca.lemma_audit(g, rule)
     ok_audit = (audit.kernel_lemma_verdict in ("AGREE", "DISAGREE")
                 and audit.rcf_lemma_verdict in ("AGREE", "DISAGREE")
                 and (audit.has_invariant_subgroup is not None))

@@ -118,6 +118,33 @@ def non_homomorphic_pair(img, g):
     return None
 
 
+def non_affine_pair(rule, g):
+    """The first pair (a, b) in row-major order with phi(a, b) !=
+    phi(a, e).phi(e, b), or None.  Compares the whole table at once."""
+    t, e = rule.table, g.identity
+    bad = np.argwhere(t != g.table[np.ix_(t[:, e], t[e, :])])
+    return tuple(int(v) for v in bad[0]) if len(bad) else None
+
+
+def kernel_bruteforce(rule, g):
+    """(rho, periods, zeta) of an endomorphic rule's kernel.  From each start
+    a, each next symbol k_{i+1} is found by scanning row k_i for phi(k_i, .)
+    = e, until a recurs; the symbols met form zeta[a]."""
+    t, e = rule.table.tolist(), g.identity
+    zeta = []
+    for a in range(g.order):
+        word = [a]
+        while True:
+            nxt = t[word[-1]].index(e)
+            if nxt == a:
+                break
+            assert len(word) < g.order, "the start never recurs"
+            word.append(nxt)
+        zeta.append(tuple(word))
+    rho = tuple(w[1] if len(w) > 1 else w[0] for w in zeta)
+    return rho, tuple(len(w) for w in zeta), tuple(zeta)
+
+
 def pushforward_bruteforce(m, rule, word) -> Fraction:
     """Mass of the full preimage of a cylinder: every candidate word one
     longer, filtered by stepping."""

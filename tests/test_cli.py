@@ -321,6 +321,11 @@ GOLDEN_COMMANDS = {
                                             "{fx}/ledrappier321.rule",
                                             "{fx}/cyclic3.group"),
     "eca_audit_z7x4.tsv": ("eca", "audit", "@z7x4", "@z7x4"),
+    "eca_kernel_z7x4.tsv": ("eca", "kernel", "@z7x4", "@z7x4"),
+    "eca_kernel_cyclic4.tsv": ("eca", "kernel", "@cyclic,4", "@cyclic,4"),
+    "eca_orbits_ledrappier321_cyclic3.tsv": ("eca", "orbits",
+                                             "{fx}/ledrappier321.rule",
+                                             "{fx}/cyclic3.group"),
 }
 
 
@@ -372,6 +377,23 @@ def test_eca_audit_rejects_the_trivial_group(capsys):
     code, out, err = run(capsys, "eca", "audit", "@cyclic,1", "@cyclic,1")
     assert (code, out) == (2, "")
     assert "the trivial group has no non-identity symbol to audit" in err
+
+
+def test_eca_orbits_rejects_the_trivial_group(capsys):
+    code, out, err = run(capsys, "eca", "orbits", "@cyclic,1", "@cyclic,1")
+    assert (code, out) == (2, "")
+    assert err == ("input error: the trivial group has no non-identity "
+                   "symbol to orbit")
+
+
+def test_eca_kernel_builds_only_the_words_it_prints(capsys, monkeypatch):
+    from qgca import eca
+    monkeypatch.setattr(eca.KernelReport, "zeta", property(
+        lambda rep: pytest.fail("the whole kernel-word table was built")))
+    code, out, _ = run(capsys, "eca", "kernel", "@cyclic,4", "@cyclic,4")
+    assert code == 0 and out.splitlines()[2] == "1\t3\t2\t1 3"
+    code, out, _ = run(capsys, "eca", "kernel", "@z7x4", "@z7x4")
+    assert code == 0 and "(period 342)" in out
 
 
 @pytest.mark.parametrize("argv", [

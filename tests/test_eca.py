@@ -1,11 +1,12 @@
 import math
 import random
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qgca import automaton as ca
 from qgca import eca
@@ -18,8 +19,8 @@ from qgca.errors import (AlphabetMismatch, BadParams, NotAffine, NotAGroup,
 from qgca.fixtures import M7_MATRIX
 from qgca.suite import random_bipermutative_rule
 
-from oracles import (endomorphic_bruteforce, non_homomorphic_pair,
-                     subgroups_bitmask)
+from oracles import (endomorphic_bruteforce, kernel_bruteforce,
+                     non_affine_pair, non_homomorphic_pair, subgroups_bitmask)
 
 
 def led_rule(p, c0, c1):
@@ -504,6 +505,115 @@ def test_audit_memory_on_z7x4():
         assert peak < bound, (fn.__name__, peak)
 
 
+def test_checks_read_under_a_fifth_of_a_table_on_z7x4():
+    """With bipermutativity cached, the decomposition and the kernel (each
+    on a fresh pair) and the audit peak under 0.2 n^2 int32 entries: the
+    n^2 passes run in row blocks and no kernel word is built."""
+    bound = 0.2 * 7 ** 8 * 4
+    for fn in (eca.decompose_affine, eca.kernel, eca.lemma_audit):
+        g, rule = eca.affine_matrix_system(M7_MATRIX)
+        assert ca.is_bipermutative(rule)
+        args = (g, rule) if fn is eca.lemma_audit else (rule, g)
+        peak = _traced_peak(fn, *args)
+        assert peak < bound, (fn.__name__, peak)
+
+
+@pytest.fixture
+def affine_passes(monkeypatch):
+    """The (rule, group) pairs the affine pass runs on, in order."""
+    seen = []
+    real = eca._affine_fault
+
+    def counting(rule, g):
+        seen.append((rule, g))
+        return real(rule, g)
+
+    monkeypatch.setattr(eca, "_affine_fault", counting)
+    return seen
+
+
+def test_one_affine_pass_per_rule_and_group(affine_passes):
+    g, rule = eca.affine_matrix_system(M7_MATRIX)
+    dec = eca.decompose_affine(rule, g)
+    rep = eca.kernel(rule, g)
+    audit = eca.lemma_audit(g, rule)
+    assert len(affine_passes) == 1
+    assert rep.rho == audit.rho == eca.affine_rho(g, dec)
+
+
+def test_a_late_fault_keeps_its_witness_and_its_memo(affine_passes):
+    g, rule = eca.affine_matrix_system(M7_MATRIX)
+    table = rule.table.copy()
+    table[2000, 1234] = (table[2000, 1234] + 1) % g.order
+    bad = ca.make_rule(g.order, 0, 1, table)
+    witness = non_affine_pair(bad, g)
+    assert witness == (2000, 1234)
+    same = gr.elementary_abelian_group(7, 4)
+    assert same == g and same is not g
+    for group, passes in ((g, 1), (g, 1), (same, 2)):
+        with pytest.raises(NotAffine) as exc:
+            eca.decompose_affine(bad, group)
+        assert exc.value.witness == witness
+        assert len(affine_passes) == passes
+
+
+def test_memo_ignores_an_entry_left_by_another_group(affine_passes):
+    g, rule = gr.cyclic_group(5), led_rule(5, 2, 3)
+    other = gr.cyclic_group(5)
+    # what a dead group at g's address could have left behind
+    rule._group_checks[id(g), eca._affine_fault] = (weakref.ref(other),
+                                                    ("affine", (0, 0)))
+    assert eca.decompose_affine(rule, g).phi0 == (0, 2, 4, 1, 3)
+    assert affine_passes == [(rule, g)]
+
+
+def test_lemma_audit_builds_no_kernel_word(monkeypatch):
+    reports = []
+    real = eca.kernel
+
+    def recording(*args):
+        reports.append(real(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(eca, "kernel", recording)
+    g, rule = eca.affine_matrix_system(M7_MATRIX)
+    eca.lemma_audit(g, rule)
+    assert len(reports) == 1 and "zeta" not in vars(reports[0])
+    assert reports[0].word(0) == (0,) and "zeta" not in vars(reports[0])
+
+
+_PRIMES = [2, 3, 5, 7, 11, 13]
+
+
+@st.composite
+def _endomorphic_system(draw):
+    """A Ledrappier rule c0 a + c1 b over Z/p, or M0 a + M1 b over (Z/2)^3
+    or (Z/3)^2 with invertible M0 and M1."""
+    if draw(st.booleans()):
+        p = draw(st.sampled_from(_PRIMES))
+        c0, c1 = draw(st.integers(1, p - 1)), draw(st.integers(1, p - 1))
+        return gr.cyclic_group(p), led_rule(p, c0, c1)
+    p, k = draw(st.sampled_from([(2, 3), (3, 2)]))
+    mats = []
+    for _ in range(2):
+        rows = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=k,
+                                      max_size=k), min_size=k, max_size=k))
+        assume(len(mf.rref([tuple(r) for r in rows], p)) == k)
+        mats.append(mf.MatrixFp.from_rows(p, rows))
+    return eca.affine_matrix_system(*mats)
+
+
+@settings(max_examples=60)
+@given(system=_endomorphic_system())
+def test_kernel_matches_the_bruteforce_kernel(system):
+    g, rule = system
+    rho, periods, zeta = kernel_bruteforce(rule, g)
+    rep = eca.kernel(rule, g)
+    assert (rep.rho, rep.periods) == (rho, periods)
+    assert tuple(rep.word(a) for a in range(g.order)) == zeta
+    assert rep.zeta == zeta
+
+
 # ---------------------------------------------------------------------------
 # orbits and subgroup lattices
 
@@ -518,6 +628,11 @@ def test_rho_orbits_z2_identity_is_single():
     g = gr.cyclic_group(2)
     rep = eca.rho_orbits((0, 1), g)
     assert rep.single_orbit
+
+
+def test_rho_orbits_rejects_the_trivial_group():
+    with pytest.raises(BadParams, match="trivial group"):
+        eca.rho_orbits((0,), gr.cyclic_group(1))
 
 
 def test_rho_orbits_rejects_bad_rho():
