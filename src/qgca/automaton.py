@@ -55,11 +55,6 @@ class LocalRule:
         return is_left_permutative(self) and is_right_permutative(self)
 
     @cached_property
-    def _group_checks(self) -> dict:
-        """Outcomes of the endomorphic-CA checks against groups (eca._memo)."""
-        return {}
-
-    @cached_property
     def _solve_rows(self) -> np.ndarray:
         """right_solve[a, v] = the b with table[a, b] = v (bipermutative only)."""
         if not self.is_rnnca or not is_right_permutative(self):

@@ -5,10 +5,8 @@ combinatorial and linear-algebra views of the kernel."""
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -17,8 +15,8 @@ from .errors import (AlphabetSizeMismatch, AperiodicKernelWord, BadParams,
                      NotBipermutative, NotEndomorphicCA, NotEndomorphism,
                      NotAffine, TooLarge)
 from .groups import GroupTable, elementary_abelian_group
-from .matfp import (MatrixFp, Poly, Vec, char_roots, invariant_subspaces,
-                    rcf)
+from .matfp import (MatrixFp, Poly, RcfResult, Vec, char_roots,
+                    invariant_subspaces, rcf)
 from .quasigroup import (CLOSURE_ORDER_BOUND, pack_digits, subquasigroups,
                          unpack_digits)
 
@@ -64,18 +62,6 @@ def _first(mask_rows, n: int) -> tuple[int, int] | None:
     return None
 
 
-def _memo(check, rule: LocalRule, g: GroupTable):
-    """check(rule, g) once per (rule, group): its outcome, None or a fault
-    with its witness, is kept on the read-only rule under id(g), with a weak
-    reference that tells g from a later group at the same address."""
-    key = id(g), check
-    ref, outcome = rule._group_checks.get(key, (None, None))
-    if ref is None or ref() is not g:
-        outcome = check(rule, g)
-        rule._group_checks[key] = weakref.ref(g), outcome
-    return outcome
-
-
 def _non_endomorphism(img: np.ndarray, g: GroupTable) -> tuple[int, int] | None:
     """The first row-major (a, b) with img(a.b) != img(a).img(b), or None.
 
@@ -94,12 +80,11 @@ def _non_endomorphism(img: np.ndarray, g: GroupTable) -> tuple[int, int] | None:
     return _first(lambda r: img[gt[r]] != gt[np.ix_(img[r], img)], g.order)
 
 
-def _affine_fault(rule: LocalRule, g: GroupTable) -> tuple[str, tuple] | None:
+def _affine_fault(t: np.ndarray, g: GroupTable, phi0: np.ndarray,
+                  phi1: np.ndarray) -> tuple[str, tuple[int, ...]] | None:
     """("affine", (a, b)) for the first pair with t(a, b) != phi0(a).phi1(b),
     else ("phi0" or "phi1", witness) for a map that is no endomorphism."""
-    t, gt, e = rule.table, g.table, g.identity
-    phi0, phi1 = t[:, e], t[e, :]
-    bad = _first(lambda r: t[r] != gt[np.ix_(phi0[r], phi1)], g.order)
+    bad = _first(lambda r: t[r] != g.table[np.ix_(phi0[r], phi1)], g.order)
     if bad is not None:
         return "affine", bad
     for name, img in (("phi0", phi0), ("phi1", phi1)):
@@ -119,35 +104,39 @@ def decompose_affine(rule: LocalRule, g: GroupTable) -> AffineDecomposition:
     _check_alphabet(rule, g)
     if not g.abelian:
         raise BadParams("affine decomposition needs an abelian group")
-    fault = _memo(_affine_fault, rule, g)
+    t, e = rule.table, g.identity
+    phi0, phi1 = t[:, e], t[e, :]
+    fault = _affine_fault(t, g, phi0, phi1)
     if fault is not None:
         name, witness = fault
         if name == "affine":
             raise NotAffine(witness)
         raise NotEndomorphism(name, witness)
-    t, e = rule.table, g.identity
-    phi0, phi1 = tuple(t[:, e].tolist()), tuple(t[e].tolist())
-    auto0, auto1 = (len(set(phi)) == g.order for phi in (phi0, phi1))
+    auto0 = len(set(phi0.tolist())) == g.order
+    auto1 = len(set(phi1.tolist())) == g.order
     biperm = is_bipermutative(rule)
     if biperm != (auto0 and auto1):  # pragma: no cover - mathematically forced
         raise NotEndomorphicCA(("bipermutativity", "automorphism", "mismatch", ""))
-    return AffineDecomposition(phi0, phi1, auto0, auto1, biperm)
+    return AffineDecomposition(tuple(int(v) for v in phi0),
+                               tuple(int(v) for v in phi1),
+                               auto0, auto1, biperm)
 
 
 def affine_rho(g: GroupTable, dec: AffineDecomposition) -> tuple[int, ...]:
     """The kernel permutation predicted by the affine form: -phi1^{-1} . phi0."""
     if not (dec.phi0_automorphism and dec.phi1_automorphism):
         raise NotBipermutative("affine rho needs automorphism components")
-    phi1_inv = {img: a for a, img in enumerate(dec.phi1)}
-    return tuple(g.inv(phi1_inv[x]) for x in dec.phi0)
+    phi1_inv = [0] * g.order
+    for a, img in enumerate(dec.phi1):
+        phi1_inv[img] = a
+    return tuple(g.inv(phi1_inv[dec.phi0[a]]) for a in range(g.order))
 
 
 # ---------------------------------------------------------------------------
 # kernel
 
-def _endomorphic_fault(rule: LocalRule, g: GroupTable) -> tuple | None:
-    """The first quadruple with phi(a.a', b.b') != phi(a,b).phi(a',b'), or
-    None.
+def _verify_endomorphic(rule: LocalRule, g: GroupTable) -> None:
+    """Check phi(a.a', b.b') = phi(a,b).phi(a',b') for all quadruples.
 
     The direct N^4 scan only runs when it fits the bound; otherwise the
     equivalent factored test is used: phi factors through phi(.,e) and
@@ -161,25 +150,25 @@ def _endomorphic_fault(rule: LocalRule, g: GroupTable) -> tuple | None:
     """
     t, gt, e, n = rule.table, g.table, g.identity, g.order
     if int(t[e, e]) != e:
-        return e, e, e, e
-    fault = _memo(_affine_fault, rule, g)
+        raise NotEndomorphicCA((e, e, e, e))
+    phi0, phi1 = t[:, e], t[e, :]
+    fault = _affine_fault(t, g, phi0, phi1)
     if fault is not None:
         name, (x, y) = fault
-        return {"affine": (x, e, e, y), "phi0": (x, y, e, e),
-                "phi1": (e, e, x, y)}[name]
+        raise NotEndomorphicCA({"affine": (x, e, e, y), "phi0": (x, y, e, e),
+                                "phi1": (e, e, x, y)}[name])
     # t(a, b) = phi0(a).phi1(b) by now; ask that it equal phi1(b).phi0(a)
-    phi0, phi1, s = t[:, e], t[e, :], list(g.generators)
+    s = list(g.generators)
     x, y = phi0[s], phi1[s]
     if not np.array_equal(gt[np.ix_(x, y)], gt[np.ix_(y, x)].T):
         a, b = _first(lambda r: t[r] != gt[np.ix_(phi1, phi0[r])].T, n)
-        return e, a, b, e
+        raise NotEndomorphicCA((e, a, b, e))
     if n ** 4 <= DIRECT_QUADRUPLE_BOUND:
         lhs = t[gt.reshape(n, n, 1, 1), gt.reshape(1, 1, n, n)]
         rhs = gt[t.reshape(n, 1, n, 1), t.reshape(1, n, 1, n)]
         bad = np.argwhere(lhs != rhs)
         if bad.size:  # pragma: no cover - factored test already accepted
-            return tuple(bad[0].tolist())
-    return None
+            raise NotEndomorphicCA(tuple(bad[0].tolist()))
 
 
 def _cycles(perm) -> list[list[int]]:
@@ -188,15 +177,18 @@ def _cycles(perm) -> list[list[int]]:
     seen = [False] * len(perm)
     cycles = []
     for a in range(len(perm)):
-        cyc, x = [], a
-        while not seen[x]:
+        if seen[a]:
+            continue
+        cyc = [a]
+        seen[a] = True
+        x = perm[a]
+        while x != a:
+            if seen[x]:
+                raise AperiodicKernelWord(a)
             seen[x] = True
             cyc.append(x)
             x = perm[x]
-        if cyc:
-            if x != a:
-                raise AperiodicKernelWord(a)
-            cycles.append(cyc)
+        cycles.append(cyc)
     return cycles
 
 
@@ -237,9 +229,7 @@ def kernel(rule: LocalRule, g: GroupTable) -> KernelReport:
     _check_alphabet(rule, g)
     if not is_bipermutative(rule):
         raise NotBipermutative("kernel needs a bipermutative rule")
-    bad = _memo(_endomorphic_fault, rule, g)
-    if bad is not None:
-        raise NotEndomorphicCA(bad)
+    _verify_endomorphic(rule, g)
     n, e, t = g.order, g.identity, rule.table
     rho = np.concatenate([np.argmax(t[r] == e, axis=1)
                           for r in _blocks(n)]).tolist()
@@ -283,13 +273,14 @@ def invariant_subgroups(g: GroupTable, rho=None) -> list[tuple[int, ...]]:
     In a finite group a nonempty subset closed under the operation is a
     subgroup, so these are the subsets closed under the operation and rho.
     """
-    unary = ()
-    if rho is not None:
+    n = g.order
+    if rho is None:
+        rho = tuple(range(n))
+    else:
         rho = tuple(int(v) for v in rho)
-        if sorted(rho) != list(range(g.order)) or rho[g.identity] != g.identity:
+        if sorted(rho) != list(range(n)) or rho[g.identity] != g.identity:
             raise BadParams("rho must be a permutation fixing the identity")
-        unary = (rho,)
-    return subquasigroups(g, include_trivial=True, unary=unary)
+    return subquasigroups(g, include_trivial=True, unary=(rho,))
 
 
 def subgroups(g: GroupTable) -> list[tuple[int, ...]]:
@@ -374,13 +365,21 @@ def linear_view(g: GroupTable, rho) -> LinearView | None:
 
 
 def subspace_to_subgroup(view: LinearView, basis_rows) -> tuple[int, ...]:
-    """Element indices of the subgroup corresponding to a subspace basis:
-    every combination of the basis rows with coefficients in F_p."""
+    """Element indices of the subgroup corresponding to a subspace basis."""
+    p = view.p
     members = set()
-    for coef in product(range(view.p), repeat=len(basis_rows)):
-        vec = tuple(sum(c * row[j] for c, row in zip(coef, basis_rows)) % view.p
-                    for j in range(view.k))
-        members.add(view.elements[vec])
+
+    def walk(i: int, acc: Vec):
+        if i == len(basis_rows):
+            members.add(view.elements[acc])
+            return
+        row = basis_rows[i]
+        cur = acc
+        for t in range(p):
+            walk(i + 1, cur)
+            cur = tuple((x + y) % p for x, y in zip(cur, row))
+
+    walk(0, (0,) * view.k)
     return tuple(sorted(members))
 
 
@@ -397,9 +396,13 @@ def affine_matrix_system(m0: MatrixFp, m1: MatrixFp | None = None
     if (m1.p, m1.n) != (p, k):
         raise BadParams("component matrices must share modulus and size")
     g = elementary_abelian_group(p, k)
-    digits = np.array(unpack_digits(p, k, np.arange(g.order)))
-    phi0, phi1 = (pack_digits(p, np.array(m.rows) @ digits) for m in (m0, m1))
-    return g, make_rule(g.order, 0, 1, g.table[np.ix_(phi0, phi1)])
+    digits = unpack_digits(p, k, np.arange(g.order))
+
+    def images(mat: MatrixFp) -> np.ndarray:
+        return pack_digits(p, [sum(c * d for c, d in zip(row, digits))
+                               for row in mat.rows])
+
+    return g, make_rule(g.order, 0, 1, g.table[np.ix_(images(m0), images(m1))])
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +459,9 @@ def lemma_audit(g: GroupTable, rule: LocalRule) -> LemmaAuditReport:
 
     factors = simple = subspaces = sub_witness = eigen = rcf_verdict = None
     if view is not None:
-        result = rcf(view.matrix)
-        factors, simple = result.invariant_factors, result.simple
+        result: RcfResult = rcf(view.matrix)
+        factors = result.invariant_factors
+        simple = result.simple
         eigen = tuple(char_roots(view.matrix))
         try:
             spaces = invariant_subspaces(view.matrix)
