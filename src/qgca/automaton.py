@@ -62,10 +62,14 @@ class LocalRule:
         return np.argsort(self.table, axis=1)
 
     @cached_property
-    def _solve_rows_small(self) -> tuple[tuple[int, ...], ...] | None:
+    def solve(self) -> Callable[[int, int], int]:
+        """solve(a, v) = the b with table[a, b] = v, read from python-int
+        rows on small alphabets and from the numpy table above that."""
+        rows = self._solve_rows
         if self.alphabet_size <= _SMALL_ALPHABET:
-            return tuple(tuple(r) for r in self._solve_rows.tolist())
-        return None
+            rows = tuple(tuple(r) for r in rows.tolist())
+            return lambda a, v: rows[a][v]
+        return lambda a, v: int(rows[a, v])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LocalRule):
@@ -142,8 +146,7 @@ def step_periodic(rule: LocalRule, word: Sequence[int]) -> tuple[int, ...]:
         raise WordTooShort(0, 1)
     m = rule.arity - 1
     ext = w + w * ((m + len(w) - 1) // len(w))
-    t = rule.table
-    return tuple(int(t[ext[i:i + m + 1]]) for i in range(len(w)))
+    return step(rule, ext)[:len(w)]
 
 
 def orbit_period(rule: LocalRule, word: Sequence[int]) -> tuple[int, int]:
@@ -172,21 +175,13 @@ def fiber_preimages(rule: LocalRule, word: Sequence[int]) -> list[tuple[int, ...
     """
     _require_bipermutative(rule)
     w = tuple(word)
-    solve = rule._solve_rows_small
+    solve = rule.solve
     out = []
-    if solve is not None:
-        for b in range(rule.alphabet_size):
-            x = [b]
-            for v in w:
-                x.append(solve[x[-1]][v])
-            out.append(tuple(x))
-    else:
-        arr = rule._solve_rows
-        for b in range(rule.alphabet_size):
-            x = [b]
-            for v in w:
-                x.append(int(arr[x[-1], v]))
-            out.append(tuple(x))
+    for b in range(rule.alphabet_size):
+        x = [b]
+        for v in w:
+            x.append(solve(x[-1], v))
+        out.append(tuple(x))
     return out
 
 
@@ -228,12 +223,7 @@ def xi_inverse(rule: LocalRule, word: Sequence[int]) -> tuple[int, ...]:
     n = len(b)
     if n == 0:
         return ()
-    small = rule._solve_rows_small
-    if small is not None:
-        solve = lambda a, v: small[a][v]
-    else:
-        arr = rule._solve_rows
-        solve = lambda a, v: int(arr[a, v])
+    solve = rule.solve
     col = list(b)                 # col[t] = (step^t a)[j] for current column j
     out = [col[0]]
     for _ in range(n - 1):

@@ -130,13 +130,15 @@ def dual(q: Quasigroup) -> Quasigroup:
 
 
 def associativity_witness(q: Quasigroup) -> tuple[int, int, int] | None:
-    """First triple (a, b, c) with (a*b)*c != a*(b*c), or None."""
+    """First triple (a, b, c) with (a*b)*c != a*(b*c), or None.
+
+    One first factor a at a time, so each step holds N^2 entries."""
     t = q.table
-    left = t[t, :]                      # left[a, b, c] = (a*b)*c
-    right = t[:, t]                     # right[a, b, c] = a*(b*c)
-    bad = np.argwhere(left != right)
-    if bad.size:
-        return tuple(int(v) for v in bad[0])
+    for a in range(q.order):
+        # [b, c] entries (a*b)*c and a*(b*c)
+        bad = np.argwhere(t[t[a]] != t[a][t])
+        if bad.size:
+            return (a, *(int(v) for v in bad[0]))
     return None
 
 

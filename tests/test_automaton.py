@@ -162,6 +162,20 @@ def test_fiber_properties_random(rng):
         assert all(ca.step(rule, f) == w for f in fibers)
 
 
+def test_solver_reads_the_numpy_table_past_the_small_alphabet(rng, monkeypatch):
+    """Past _SMALL_ALPHABET the right-cancellation solver reads the numpy
+    table; fibers and xi_inverse come out as from the python-int rows."""
+    for _ in range(5):
+        n = rng.randrange(2, 7)
+        table = random_bipermutative_rule(n, rng).table
+        small, large = (ca.make_rule(n, 0, 1, table) for _ in range(2))
+        w = random_word(n, rng.randrange(1, 10), rng)
+        expect = (ca.fiber_preimages(small, w), ca.xi_inverse(small, w))
+        with monkeypatch.context() as m:
+            m.setattr(ca, "_SMALL_ALPHABET", 1)
+            assert (ca.fiber_preimages(large, w), ca.xi_inverse(large, w)) == expect
+
+
 def test_fiber_requires_bipermutativity():
     rule = ca.make_rule(2, 0, 1, [[0, 0], [1, 1]])
     with pytest.raises(NotBipermutative):

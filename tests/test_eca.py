@@ -291,7 +291,7 @@ def _endo(witness):
     pytest.param(lambda: (ca.from_quasigroup(qg.builtin("quaternion")),
                           gr.quaternion_group()),
                  _NOT_ABELIAN, _endo((0, 2, 4, 0)), id="quaternion-product"),
-    # 40^4 quadruples exceed the direct-scan bound: only the factored test runs
+    # the same failure on Z/5 x Q8, a larger group with four generators
     pytest.param(lambda: _group_rule(gr.group_product(gr.cyclic_group(5),
                                                       gr.quaternion_group())),
                  _NOT_ABELIAN, _endo((0, 2, 4, 0)), id="c5xq-product"),
@@ -492,11 +492,10 @@ def test_elementary_abelian_group_memory():
 
 
 def test_audit_memory_on_z7x4():
-    """With bipermutativity cached, the kernel, the decomposition and the
-    audit peak under 1.5 n^2 int32 entries: one n^2 read for the affine
-    test, and certificates for the rest."""
+    """The kernel, the decomposition and the audit peak under 1.5 n^2 int32
+    entries: one n^2 read for the affine test, and certificates for the
+    rest."""
     g, rule = eca.affine_matrix_system(M7_MATRIX)
-    assert ca.is_bipermutative(rule)
     bound = 1.5 * g.order ** 2 * 4
     for fn, args in ((eca.kernel, (rule, g)), (eca.decompose_affine, (rule, g)),
                      (eca.lemma_audit, (g, rule))):
@@ -505,16 +504,24 @@ def test_audit_memory_on_z7x4():
 
 
 def test_checks_read_under_a_fifth_of_a_table_on_z7x4():
-    """With bipermutativity cached, the decomposition and the kernel (each
-    on a fresh pair) and the audit peak under 0.2 n^2 int32 entries: the
-    n^2 passes run in row blocks and no kernel word is built."""
+    """The decomposition, the kernel and the audit, each on a fresh pair,
+    peak under 0.2 n^2 int32 entries: the n^2 passes run in row blocks and
+    no kernel word is built."""
     bound = 0.2 * 7 ** 8 * 4
     for fn in (eca.decompose_affine, eca.kernel, eca.lemma_audit):
         g, rule = eca.affine_matrix_system(M7_MATRIX)
-        assert ca.is_bipermutative(rule)
         args = (g, rule) if fn is eca.lemma_audit else (rule, g)
         peak = _traced_peak(fn, *args)
         assert peak < bound, (fn.__name__, peak)
+
+
+def test_audits_read_bipermutativity_from_the_split_on_z7x4():
+    """Each audit, on a fresh pair, reads bipermutativity from phi0 and
+    phi1 and never scans the table for repeats."""
+    for fn in (eca.decompose_affine, eca.kernel, eca.lemma_audit):
+        g, rule = eca.affine_matrix_system(M7_MATRIX)
+        fn(*((g, rule) if fn is eca.lemma_audit else (rule, g)))
+        assert "_bipermutative" not in vars(rule), fn.__name__
 
 
 def test_a_late_fault_keeps_its_row_major_witness():
@@ -550,6 +557,21 @@ _PRIMES = [2, 3, 5, 7, 11, 13]
 
 
 @st.composite
+def _matrix_system(draw, invertible):
+    """M0 a + M1 b over (Z/2)^3 or (Z/3)^2, with M0 and M1 invertible if
+    asked, else drawn from all matrices."""
+    p, k = draw(st.sampled_from([(2, 3), (3, 2)]))
+    mats = []
+    for _ in range(2):
+        rows = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=k,
+                                      max_size=k), min_size=k, max_size=k))
+        if invertible:
+            assume(len(mf.rref([tuple(r) for r in rows], p)) == k)
+        mats.append(mf.MatrixFp.from_rows(p, rows))
+    return eca.affine_matrix_system(*mats)
+
+
+@st.composite
 def _endomorphic_system(draw):
     """A Ledrappier rule c0 a + c1 b over Z/p, or M0 a + M1 b over (Z/2)^3
     or (Z/3)^2 with invertible M0 and M1."""
@@ -557,14 +579,7 @@ def _endomorphic_system(draw):
         p = draw(st.sampled_from(_PRIMES))
         c0, c1 = draw(st.integers(1, p - 1)), draw(st.integers(1, p - 1))
         return gr.cyclic_group(p), led_rule(p, c0, c1)
-    p, k = draw(st.sampled_from([(2, 3), (3, 2)]))
-    mats = []
-    for _ in range(2):
-        rows = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=k,
-                                      max_size=k), min_size=k, max_size=k))
-        assume(len(mf.rref([tuple(r) for r in rows], p)) == k)
-        mats.append(mf.MatrixFp.from_rows(p, rows))
-    return eca.affine_matrix_system(*mats)
+    return draw(_matrix_system(invertible=True))
 
 
 @settings(max_examples=60)
@@ -576,6 +591,23 @@ def test_kernel_matches_the_bruteforce_kernel(system):
     assert (rep.rho, rep.periods) == (rho, periods)
     assert tuple(rep.word(a) for a in range(g.order)) == zeta
     assert rep.zeta == zeta
+
+
+@settings(max_examples=60)
+@given(system=_matrix_system(invertible=False))
+def test_singular_components_are_not_bipermutative(system):
+    """Endomorphic rules whose M0 or M1 may be singular: the kernel refuses
+    exactly the rules that are not bipermutative, and the decomposition
+    reports the same bipermutativity as the Latin check."""
+    g, rule = system
+    biperm = ca.is_bipermutative(rule)
+    assert eca.decompose_affine(rule, g).bipermutative == biperm
+    if biperm:
+        eca.kernel(rule, g)
+    else:
+        with pytest.raises(NotBipermutative) as exc:
+            eca.kernel(rule, g)
+        assert str(exc.value) == "kernel needs a bipermutative rule"
 
 
 # ---------------------------------------------------------------------------

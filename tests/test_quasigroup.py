@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,6 +170,18 @@ def test_associativity(d7, quat):
     assert w == (0, 0, 2)
     a, b, c = w
     assert d7.mul(d7.mul(a, b), c) != d7.mul(a, d7.mul(b, c))
+
+
+def test_associativity_witness_memory():
+    """The check holds a few N^2 table entries at a time, never N^3."""
+    q = qg.builtin("cyclic", [128])
+    tracemalloc.start()
+    try:
+        assert qg.associativity_witness(q) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * q.order ** 2 * q.table.itemsize
 
 
 def test_subquasigroups_d7_matches_oracle(d7):
