@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import (NotBipermutative, ParseError, PeriodTooLarge,
                      TableTooLarge, WordTooShort)
-from .quasigroup import Quasigroup, first_repeat, pack_digits, unpack_digits
+from .quasigroup import (Quasigroup, first_repeat, freeze_table, index_dtype,
+                         pack_digits, row_inverses, unpack_digits)
 
 RULE_TABLE_BOUND = 2 ** 24
 PERIODIC_STATE_BOUND = 2 ** 20
@@ -57,9 +58,9 @@ class LocalRule:
     @cached_property
     def _solve_rows(self) -> np.ndarray:
         """right_solve[a, v] = the b with table[a, b] = v (bipermutative only)."""
-        if not self.is_rnnca or not is_right_permutative(self):
+        if not self.is_rnnca or not self._bipermutative:
             raise NotBipermutative("rule has no right-cancellation table")
-        return np.argsort(self.table, axis=1)
+        return row_inverses(self.table)
 
     @cached_property
     def solve(self) -> Callable[[int, int], int]:
@@ -89,11 +90,11 @@ def make_rule(alphabet_size: int, left_radius: int, right_radius: int,
     n, arity = alphabet_size, left_radius + right_radius + 1
     if n ** arity > RULE_TABLE_BOUND:
         raise TableTooLarge(n ** arity, RULE_TABLE_BOUND)
-    arr = np.ascontiguousarray(table, dtype=np.int32).reshape((n,) * arity)
+    arr = np.asarray(table).reshape((n,) * arity)
+    # range-check before narrowing, so no entry wraps into 0..N-1
     if arr.min() < 0 or arr.max() >= n:
         raise ParseError("rule table entries must lie in 0..N-1")
-    arr.flags.writeable = False
-    return LocalRule(n, left_radius, right_radius, arr)
+    return LocalRule(n, left_radius, right_radius, freeze_table(arr))
 
 
 def from_quasigroup(q: Quasigroup) -> LocalRule:
@@ -285,7 +286,7 @@ def recode_block(rule: LocalRule) -> BlockRecoding:
     big = n ** m
     if big * big > RULE_TABLE_BOUND:
         raise TableTooLarge(big * big, RULE_TABLE_BOUND)
-    table = np.empty((big, big), dtype=np.int32)
+    table = np.empty((big, big), dtype=index_dtype(big))
     blocks = [unpack_digits(n, m, v) for v in range(big)]
     for u in range(big):
         for v in range(big):

@@ -17,8 +17,8 @@ from .errors import (AlphabetSizeMismatch, AperiodicKernelWord, BadParams,
 from .groups import GroupTable, elementary_abelian_group
 from .matfp import (MatrixFp, Poly, RcfResult, Vec, char_roots,
                     invariant_subspaces, rcf)
-from .quasigroup import (CLOSURE_ORDER_BOUND, pack_digits, subquasigroups,
-                         unpack_digits)
+from .quasigroup import (CLOSURE_ORDER_BOUND, pack_digits, row_blocks,
+                         subquasigroups, unpack_digits)
 
 
 # ---------------------------------------------------------------------------
@@ -43,16 +43,10 @@ def _check_alphabet(rule: LocalRule, g: GroupTable) -> None:
                                    "group", g.order)
 
 
-def _blocks(n: int):
-    """The row slices of an n x n table, about 2**18 entries each, in order."""
-    step = max(1, 2 ** 18 // n)
-    return (slice(r, r + step) for r in range(0, n, step))
-
-
 def _first(mask_rows, n: int) -> tuple[int, int] | None:
     """Row-major (a, b) of the first True entry of an n x n mask, read one
     row block at a time from mask_rows(rows), or None."""
-    for rows in _blocks(n):
+    for rows in row_blocks(n):
         mask = mask_rows(rows)
         i = int(mask.argmax())
         if mask.flat[i]:
@@ -233,7 +227,7 @@ def kernel(rule: LocalRule, g: GroupTable) -> KernelReport:
         raise NotBipermutative("kernel needs a bipermutative rule")
     n, e, t = g.order, g.identity, rule.table
     rho = np.concatenate([np.argmax(t[r] == e, axis=1)
-                          for r in _blocks(n)]).tolist()
+                          for r in row_blocks(n)]).tolist()
     periods = [0] * n
     for cyc in _cycles(rho):
         for b in cyc:

@@ -14,7 +14,8 @@ from itertools import product as cartesian
 import numpy as np
 
 from .errors import BadParams, NotAGroup, OrderTooLarge, ParseError
-from .quasigroup import Quasigroup, builtin, format_table, parse_table, product
+from .quasigroup import (Quasigroup, builtin, format_table, freeze_table,
+                         index_dtype, parse_table, product, row_blocks)
 
 ASSOCIATIVITY_CHECK_BOUND = 1024
 
@@ -73,8 +74,11 @@ def _finish(q: Quasigroup, *, check_associativity: bool) -> GroupTable:
     t = q.table
     n = q.order
     idx = np.arange(n)
-    row_id = (t == idx[None, :]).all(axis=1)
-    col_id = (t.T == idx[None, :]).all(axis=1)
+    row_id = np.zeros(n, dtype=bool)        # a.b = b for every b
+    col_id = np.ones(n, dtype=bool)         # a.b = a for every a
+    for r in row_blocks(n):
+        row_id[r] = (t[r] == idx).all(axis=1)
+        col_id &= (t[r] == idx[r, None]).all(axis=0)
     both = np.flatnonzero(row_id & col_id)
     if both.size != 1:
         raise NotAGroup("no two-sided identity")
@@ -83,9 +87,13 @@ def _finish(q: Quasigroup, *, check_associativity: bool) -> GroupTable:
         if n > ASSOCIATIVITY_CHECK_BOUND:
             raise OrderTooLarge(n, ASSOCIATIVITY_CHECK_BOUND)
         for c in range(n):
-            if not np.array_equal(t[t, c], t[:, t[:, c]]):
-                raise NotAGroup(f"associativity fails at third factor {c}")
-    inv = np.argmax(t == e, axis=1)
+            right = t[:, c]                      # x -> x.c
+            for r in row_blocks(n):
+                # (a.b).c against a.(b.c), for the rows a in r
+                if not np.array_equal(right[t[r]], t[r][:, right]):
+                    raise NotAGroup(f"associativity fails at third factor {c}")
+    inv = np.concatenate([np.argmax(t[r] == e, axis=1)
+                          for r in row_blocks(n)])
     if not (np.array_equal(t[idx, inv], np.full(n, e))
             and np.array_equal(t[inv, idx], np.full(n, e))):
         raise NotAGroup("inverses are not two-sided")
@@ -124,17 +132,18 @@ def elementary_abelian_group(p: int, k: int) -> GroupTable:
     """
     if p < 2 or k < 1:
         raise BadParams(f"need p >= 2 and k >= 1, got ({p}, {k})")
-    digit = np.arange(p, dtype=np.int32)
-    z_p = (digit[:, None] + digit[None, :]) % p
+    # row a of Z/p is the digits rotated left by a, a window of them twice
+    # over; the partial tables hold indices below p**k, so none overflows
+    digit = np.arange(p, dtype=index_dtype(p ** k))
+    z_p = np.lib.stride_tricks.sliding_window_view(np.tile(digit, 2), p)[:p]
     table = z_p
     for _ in range(k - 1):
         m = len(table) * p
         table = (table[:, None, :, None] * p
                  + z_p[None, :, None, :]).reshape(m, m)
     symbols = tuple(map("".join, cartesian(list(map(str, range(p))), repeat=k)))
-    q = Quasigroup(symbols, np.ascontiguousarray(table, dtype=np.int32))
-    q.table.flags.writeable = False
-    return _finish(q, check_associativity=False)
+    return _finish(Quasigroup(symbols, freeze_table(table)),
+                   check_associativity=False)
 
 
 # ---------------------------------------------------------------------------

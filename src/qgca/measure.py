@@ -124,6 +124,8 @@ def _ca_image(rule: LocalRule, codes: np.ndarray, depth: int) -> np.ndarray:
     digit and looked up in the flat table, so only a few arrays of
     len(codes) are alive at once."""
     n, flat = rule.alphabet_size, rule.table.ravel()
+    # image has the codes' dtype, int64 or object, so adding the narrow
+    # table entries widens them and no step can overflow the table dtype
     image = np.zeros_like(codes)
     for k in range(depth - 1, -1, -1):
         pair = (codes // n ** k % (n * n)).astype(np.int64, copy=False)

@@ -68,8 +68,35 @@ class Quasigroup:
         return f"Quasigroup(order={self.order}, symbols={self.symbols[:4]}...)"
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.int32)
+def index_dtype(n: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds every symbol index
+    0..n-1: int16 up to 2**15 symbols, int32 above.  Every symbol-index
+    table is stored in it; arithmetic that can leave 0..n-1 must widen."""
+    return np.dtype(np.int16 if n <= 2 ** 15 else np.int32)
+
+
+def row_blocks(n: int):
+    """The row slices of an n x n table, about 2**18 entries each, in order."""
+    step = max(1, 2 ** 18 // n)
+    return (slice(r, r + step) for r in range(0, n, step))
+
+
+def row_inverses(table: np.ndarray) -> np.ndarray:
+    """out[a, v] = the b with table[a, b] = v, for an n x n table whose rows
+    are permutations; scattered one row block at a time, in its dtype."""
+    n = len(table)
+    out = np.empty_like(table)
+    cols = np.arange(n, dtype=table.dtype)
+    for r in row_blocks(n):
+        t = table[r]
+        out[r][np.arange(len(t))[:, None], t] = cols
+    return out
+
+
+def freeze_table(arr: np.ndarray) -> np.ndarray:
+    """The table over len(arr) symbols as a read-only contiguous array in
+    their index dtype, copied only when it is not one already."""
+    arr = np.ascontiguousarray(arr, dtype=index_dtype(len(arr)))
     arr.flags.writeable = False
     return arr
 
@@ -120,13 +147,12 @@ def validate_latin(table, symbols: Sequence[str] | None = None) -> Quasigroup:
     repeat = first_repeat(arr.T)
     if repeat:
         raise DuplicateInColumn(*repeat)
-    return Quasigroup(symbols, _freeze(arr))
+    return Quasigroup(symbols, freeze_table(arr))
 
 
 def dual(q: Quasigroup) -> Quasigroup:
     """The dual operation: ``a ^ b`` is the unique c with ``a * c = b``."""
-    inv_rows = np.argsort(q.table, axis=1)
-    return Quasigroup(q.symbols, _freeze(inv_rows))
+    return Quasigroup(q.symbols, freeze_table(row_inverses(q.table)))
 
 
 def associativity_witness(q: Quasigroup) -> tuple[int, int, int] | None:
@@ -299,7 +325,7 @@ def _cyclic(n: int) -> Quasigroup:
         raise BadParams(f"cyclic order must be positive, got {n}")
     idx = np.arange(n)
     return Quasigroup(tuple(str(i) for i in range(n)),
-                      _freeze((idx[:, None] + idx[None, :]) % n))
+                      freeze_table((idx[:, None] + idx[None, :]) % n))
 
 
 def _ledrappier(p: int, c0: int, c1: int) -> Quasigroup:
@@ -309,12 +335,12 @@ def _ledrappier(p: int, c0: int, c1: int) -> Quasigroup:
         raise BadParams("ledrappier coefficients must be nonzero mod p")
     idx = np.arange(p)
     table = (c0 * idx[:, None] + c1 * idx[None, :]) % p
-    return Quasigroup(tuple(str(i) for i in range(p)), _freeze(table))
+    return Quasigroup(tuple(str(i) for i in range(p)), freeze_table(table))
 
 
 def _quaternion() -> Quasigroup:
     table = [[_quaternion_mul(a, b) for b in range(8)] for a in range(8)]
-    return Quasigroup(QUATERNION_SYMBOLS, _freeze(np.array(table)))
+    return Quasigroup(QUATERNION_SYMBOLS, freeze_table(np.array(table)))
 
 
 def _nonabelian21() -> Quasigroup:
@@ -335,7 +361,7 @@ def _nonabelian21() -> Quasigroup:
         for v in range(21):
             k, l = divmod(v, 3)
             table[u, v] = ((i + k * pow(2, j, 7)) % 7) * 3 + (j + l) % 3
-    return Quasigroup(symbols, _freeze(table))
+    return Quasigroup(symbols, freeze_table(table))
 
 
 def product(left: Quasigroup, right: Quasigroup) -> Quasigroup:
@@ -347,7 +373,7 @@ def product(left: Quasigroup, right: Quasigroup) -> Quasigroup:
     table = lt[np.ix_(li, li)] * nr + rt[np.ix_(ri, ri)]
     symbols = tuple(f"({left.symbols[a]},{right.symbols[b]})"
                     for a in range(nl) for b in range(nr))
-    return Quasigroup(symbols, _freeze(table))
+    return Quasigroup(symbols, freeze_table(table))
 
 
 def builtin(name: str, params: Sequence = ()) -> Quasigroup:

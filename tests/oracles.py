@@ -107,6 +107,28 @@ def endomorphic_bruteforce(rule, g):
     return None
 
 
+def group_check_bruteforce(rows, check_associativity: bool):
+    """(identity, inverse tuple) of a Latin square that passes the group
+    checks, else the NotAGroup message of the first check that fails:
+    identity, then (optionally) associativity by third factor, then
+    two-sided inverses.  Loops over python-int rows."""
+    n = len(rows)
+    ids = [a for a in range(n)
+           if all(rows[a][b] == b and rows[b][a] == b for b in range(n))]
+    if len(ids) != 1:
+        return "no two-sided identity"
+    e = ids[0]
+    if check_associativity:
+        for c in range(n):
+            if any(rows[rows[a][b]][c] != rows[a][rows[b][c]]
+                   for a in range(n) for b in range(n)):
+                return f"associativity fails at third factor {c}"
+    inv = tuple(rows[a].index(e) for a in range(n))
+    if any(rows[inv[a]][a] != e for a in range(n)):
+        return "inverses are not two-sided"
+    return e, inv
+
+
 def non_homomorphic_pair(img, g):
     """The first pair (a, b) in row-major order with img(a.b) !=
     img(a).img(b), or None when img is an endomorphism.  Scans all N^2

@@ -182,6 +182,14 @@ def test_fiber_requires_bipermutativity():
         ca.fiber_preimages(rule, (0, 1))
 
 
+def test_solver_needs_a_bipermutative_rule():
+    """phi(a, b) = b has permutation rows but is not left permutative."""
+    rule = ca.make_rule(2, 0, 1, [[0, 1], [0, 1]])
+    assert ca.is_right_permutative(rule)
+    with pytest.raises(NotBipermutative, match="right-cancellation"):
+        rule.solve
+
+
 def test_tau_xor_frozen(xor_rule):
     assert ca.tau(xor_rule, (0, 1, 1)) == (1, 0, 0)
 

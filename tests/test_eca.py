@@ -16,10 +16,11 @@ from qgca.errors import (AlphabetMismatch, BadParams, NotAffine, NotAGroup,
                          NotBipermutative, NotEndomorphicCA, NotEndomorphism,
                          OrderTooLarge, ParseError)
 from qgca.fixtures import M7_MATRIX
-from qgca.suite import random_bipermutative_rule
+from qgca.suite import random_bipermutative_rule, random_latin_square
 
-from oracles import (endomorphic_bruteforce, kernel_bruteforce,
-                     non_affine_pair, non_homomorphic_pair, subgroups_bitmask)
+from oracles import (endomorphic_bruteforce, group_check_bruteforce,
+                     kernel_bruteforce, non_affine_pair, non_homomorphic_pair,
+                     subgroups_bitmask)
 
 
 def led_rule(p, c0, c1):
@@ -48,6 +49,44 @@ def test_non_group_rejected(d7):
         gr.from_quasigroup(d7)
 
 
+def _group_outcome(q, check):
+    try:
+        g = gr._finish(q, check_associativity=check)
+    except NotAGroup as exc:
+        return exc.reason
+    return g.identity, g.inverse
+
+
+def _normalized(rows, left, right):
+    """rows with its columns reordered so row 0 is the identity map (left),
+    then its rows reordered so column 0 is (right)."""
+    t = np.array(rows)
+    if left:
+        t = t[:, np.argsort(t[0])]
+    if right:
+        t = t[np.argsort(t[:, 0])]
+    return qg.validate_latin(t)
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_group_checks_match_the_bruteforce_in_any_row_blocks(
+        check, rng, monkeypatch):
+    """Loops, one-sided identities and groups, checked in the default row
+    blocks and in blocks of two rows, against python-int loops."""
+    tables = [qg.builtin(name) for name in ("D7", "quaternion", "nonabelian21")]
+    for n in (5, 6, 7, 8):
+        rows = random_latin_square(n, rng)
+        tables += [_normalized(rows, left, right)
+                   for left, right in ((True, True), (True, False),
+                                       (False, True))]
+    expect = [group_check_bruteforce(q.rows, check) for q in tables]
+    assert len(set(map(str, expect))) > 3
+    assert [_group_outcome(q, check) for q in tables] == expect
+    monkeypatch.setattr(gr, "row_blocks",
+                        lambda n: (slice(r, r + 2) for r in range(0, n, 2)))
+    assert [_group_outcome(q, check) for q in tables] == expect
+
+
 def test_group_product_packing():
     g = gr.group_product(gr.cyclic_group(2), gr.quaternion_group())
     assert g.order == 16 and g.identity == 0
@@ -61,6 +100,15 @@ def test_elementary_abelian_group():
     b = qg.pack_digits(7, (6, 6, 6, 6))
     assert g.mul(a, b) == qg.pack_digits(7, (0, 1, 2, 3))
     assert qg.unpack_digits(7, 4, a) == (1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("p, k", [(2, 5), (3, 3), (7, 2), (5, 1), (11, 1)])
+def test_elementary_abelian_table_adds_digits(p, k):
+    g = gr.elementary_abelian_group(p, k)
+    idx = np.arange(p ** k)
+    digits = zip(qg.unpack_digits(p, k, idx[:, None]),
+                 qg.unpack_digits(p, k, idx[None, :]))
+    assert np.array_equal(g.table, qg.pack_digits(p, [a + b for a, b in digits]))
 
 
 def test_rule_group_size_mismatch_message():
@@ -366,7 +414,7 @@ def test_kernel_rejects_exactly_what_the_oracle_rejects(data, make, kind):
 
 
 def test_endomorphism_check_memory_on_z7x4():
-    """Peak traced memory of the checks stays under 4 n^2 int32 entries."""
+    """Peak traced memory of the checks stays under 16 bytes per n^2 entry."""
     g, rule = eca.affine_matrix_system(M7_MATRIX)
     bound = 4 * g.order ** 2 * 4
     for fn in (eca.kernel, eca.decompose_affine):
@@ -414,6 +462,18 @@ def test_endomorphism_certificate_matches_the_full_scan(data, make):
     img = data.draw(_group_map(g))
     found = eca._non_endomorphism(np.array(img, dtype=np.int32), g)
     assert found == non_homomorphic_pair(img, g)
+
+
+def test_endomorphism_check_on_an_int16_image_from_z7x4():
+    """phi0 of the (Z/7)^4 rule, read from its int16 table, then with one
+    image changed; the witness is the first of a whole-table scan."""
+    g, rule = eca.affine_matrix_system(M7_MATRIX)
+    img = rule.table[:, g.identity].copy()
+    assert img.dtype == g.table.dtype == np.int16
+    assert eca._non_endomorphism(img, g) is None
+    img[1234] = img[1233]
+    bad = np.argwhere(img[g.table] != g.table[np.ix_(img, img)])
+    assert eca._non_endomorphism(img, g) == tuple(int(v) for v in bad[0])
 
 
 @pytest.mark.parametrize("make", _CERTIFICATE_GROUPS + [
@@ -486,14 +546,32 @@ def _traced_peak(fn, *args):
 
 
 def test_elementary_abelian_group_memory():
-    """The (Z/7)^4 table is built under 2 n^2 int32 entries."""
+    """The (Z/7)^4 table, n^2 int16 entries, is built and verified under 2.5
+    bytes per entry: the identity and inverse checks run in row blocks."""
     n = 7 ** 4
-    assert _traced_peak(gr.elementary_abelian_group, 7, 4) < 2 * n * n * 4
+    assert _traced_peak(gr.elementary_abelian_group, 7, 4) < 2.5 * n * n
+
+
+def test_affine_matrix_system_memory():
+    """The (Z/7)^4 group and rule tables are built under 4.5 bytes per n^2
+    entry: two int16 tables and block-sized temporaries."""
+    n = 7 ** 4
+    assert _traced_peak(eca.affine_matrix_system, M7_MATRIX) < 4.5 * n * n
+
+
+def test_solver_and_dual_memory_on_z7x4():
+    """The right-cancellation table of the (Z/7)^4 rule and the dual of its
+    group are scattered in row blocks, in the table's dtype: each peaks
+    under 1.5 times the bytes of one table (an intp argsort reads 4)."""
+    g, rule = eca.affine_matrix_system(M7_MATRIX)
+    assert ca.is_bipermutative(rule)
+    assert _traced_peak(lambda: rule.solve) < 1.5 * rule.table.nbytes
+    assert _traced_peak(qg.dual, g) < 1.5 * g.table.nbytes
 
 
 def test_audit_memory_on_z7x4():
-    """The kernel, the decomposition and the audit peak under 1.5 n^2 int32
-    entries: one n^2 read for the affine test, and certificates for the
+    """The kernel, the decomposition and the audit peak under 6 bytes per
+    n^2 entry: one n^2 read for the affine test, and certificates for the
     rest."""
     g, rule = eca.affine_matrix_system(M7_MATRIX)
     bound = 1.5 * g.order ** 2 * 4
@@ -505,7 +583,7 @@ def test_audit_memory_on_z7x4():
 
 def test_checks_read_under_a_fifth_of_a_table_on_z7x4():
     """The decomposition, the kernel and the audit, each on a fresh pair,
-    peak under 0.2 n^2 int32 entries: the n^2 passes run in row blocks and
+    peak under 0.8 bytes per n^2 entry: the n^2 passes run in row blocks and
     no kernel word is built."""
     bound = 0.2 * 7 ** 8 * 4
     for fn in (eca.decompose_affine, eca.kernel, eca.lemma_audit):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgca import automaton as ca
+from qgca import groups as gr
 from qgca import quasigroup as qg
 from qgca.errors import (BadEntry, BadParams, DuplicateInColumn,
                          DuplicateInRow, ParseError, UnknownName)
@@ -153,6 +154,70 @@ def test_dual_z3_frozen():
     assert qg.dual(z3).rows == ((0, 1, 2), (2, 0, 1), (1, 2, 0))
 
 
+@pytest.mark.parametrize("make", [
+    lambda rng: qg.builtin("D7"),
+    lambda rng: qg.validate_latin(random_latin_square(9, rng)),
+    lambda rng: qg.builtin("cyclic", [600]),         # two row blocks
+    lambda rng: gr.elementary_abelian_group(7, 4)],  # 23, the last of 3 rows
+    ids=["D7", "latin9", "cyclic600", "z7x4"])
+def test_row_inverses_match_argsort(make, rng):
+    t = make(rng).table
+    inv = qg.row_inverses(t)
+    assert inv.dtype == t.dtype
+    assert np.array_equal(inv, np.argsort(t, axis=1))
+
+
+def test_index_dtype_edge():
+    """int16 holds the indices of 2**15 symbols, not of one more."""
+    assert qg.index_dtype(1) == qg.index_dtype(2 ** 15) == np.int16
+    assert qg.index_dtype(2 ** 15 + 1) == np.int32
+    assert np.iinfo(qg.index_dtype(ca.RULE_TABLE_BOUND)).max \
+        >= ca.RULE_TABLE_BOUND - 1
+
+
+_TABLE_MAKERS = {
+    "builtin D7": lambda: qg.builtin("D7"),
+    "builtin ledrappier": lambda: qg.builtin("ledrappier", [5, 2, 3]),
+    "builtin quaternion": lambda: qg.builtin("quaternion"),
+    "builtin cyclic": lambda: qg.builtin("cyclic", [6]),
+    "builtin nonabelian21": lambda: qg.builtin("nonabelian21"),
+    "builtin product": lambda: qg.builtin("product", ["cyclic 2", "D7"]),
+    "validate_latin": lambda: qg.validate_latin(D7_ROWS),
+    "dual": lambda: qg.dual(qg.builtin("D7")),
+    "product": lambda: qg.product(qg.builtin("D7"), qg.builtin("cyclic", [3])),
+    "group_product": lambda: gr.group_product(gr.cyclic_group(2),
+                                              gr.quaternion_group()),
+    "cyclic_group": lambda: gr.cyclic_group(5),
+    "elementary_abelian_group": lambda: gr.elementary_abelian_group(3, 2),
+    "groups.from_quasigroup": lambda: gr.from_quasigroup(qg.builtin("quaternion")),
+    "make_rule": lambda: ca.make_rule(3, 0, 1, [[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
+    "make_rule past 2**15": lambda: ca.make_rule(2 ** 15 + 1, 0, 0,
+                                                 np.arange(2 ** 15 + 1)),
+    "parse_rule": lambda: ca.parse_rule("2 0 0\n0 1\n1 0\n"),
+    "from_quasigroup": lambda: ca.from_quasigroup(qg.builtin("D7")),
+    "recode_block": lambda: ca.recode_block(
+        ca.make_rule(2, 1, 1, [a ^ c for a in (0, 1) for b in (0, 1)
+                               for c in (0, 1)])).rule,
+    "dual_rule": lambda: ca.dual_rule(ca.from_quasigroup(qg.builtin("D7"))),
+}
+
+
+@pytest.mark.parametrize("name", list(_TABLE_MAKERS))
+def test_tables_are_read_only_in_the_index_dtype(name):
+    made = _TABLE_MAKERS[name]()
+    order = made.order if isinstance(made, qg.Quasigroup) else made.alphabet_size
+    assert made.table.dtype == qg.index_dtype(order)
+    assert not made.table.flags.writeable
+
+
+@pytest.mark.parametrize("table", [[[0, 1], [1, 2 ** 16]],
+                                   np.array([[0, 1], [1, 2 ** 32]])])
+def test_make_rule_checks_entries_before_narrowing(table):
+    """2**16 and 2**32 would wrap to 0 in int16 and int32."""
+    with pytest.raises(ParseError, match="0..N-1"):
+        ca.make_rule(2, 0, 1, table)
+
+
 def test_cancellation_identities(d7, quat, rng):
     for q in (d7, quat, qg.validate_latin(random_latin_square(4, rng))):
         d = qg.dual(q)
@@ -173,7 +238,9 @@ def test_associativity(d7, quat):
 
 
 def test_associativity_witness_memory():
-    """The check holds a few N^2 table entries at a time, never N^3."""
+    """The check holds a few N^2 arrays at a time, never N^3 entries: at
+    N = 128 it peaks under 10 bytes per N^2 entry, whatever the table's
+    dtype (one N^3 array of int16 would be 4 MiB)."""
     q = qg.builtin("cyclic", [128])
     tracemalloc.start()
     try:
@@ -181,7 +248,7 @@ def test_associativity_witness_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * q.order ** 2 * q.table.itemsize
+    assert peak < 10 * 128 ** 2
 
 
 def test_subquasigroups_d7_matches_oracle(d7):
