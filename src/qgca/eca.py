@@ -11,9 +11,9 @@ from functools import cached_property
 import numpy as np
 
 from .automaton import LocalRule, is_bipermutative, make_rule
-from .errors import (AlphabetSizeMismatch, AperiodicKernelWord, BadParams,
+from .errors import (AlphabetSizeMismatch, BadParams, NotAffine,
                      NotBipermutative, NotEndomorphicCA, NotEndomorphism,
-                     NotAffine, TooLarge)
+                     TooLarge)
 from .groups import GroupTable, elementary_abelian_group
 from .matfp import (MatrixFp, Poly, RcfResult, Vec, char_roots,
                     invariant_subspaces, rcf)
@@ -162,7 +162,8 @@ def _verify_endomorphic(rule: LocalRule, g: GroupTable) -> bool:
 
 def _cycles(perm) -> list[list[int]]:
     """The cycles of perm, each from its smallest member, in order of it.
-    A walk that meets an earlier cycle never returns: AperiodicKernelWord."""
+    Both callers pass a permutation (kernel the rho of a rule it verified
+    bipermutative, rho_orbits one it checked), so every walk closes."""
     seen = [False] * len(perm)
     cycles = []
     for a in range(len(perm)):
@@ -172,8 +173,6 @@ def _cycles(perm) -> list[list[int]]:
         seen[a] = True
         x = perm[a]
         while x != a:
-            if seen[x]:
-                raise AperiodicKernelWord(a)
             seen[x] = True
             cyc.append(x)
             x = perm[x]
@@ -199,17 +198,11 @@ class KernelReport:
         w = [a]
         for _ in range(self.periods[a] - 1):
             w.append(self.rho[w[-1]])
-        if self.rho[w[-1]] != a:
-            raise AperiodicKernelWord(a)  # pragma: no cover
         return tuple(w)
 
     @cached_property
     def zeta(self) -> tuple[tuple[int, ...], ...]:
-        zeta = tuple(self.word(a) for a in range(len(self.rho)))
-        for a, za in enumerate(zeta):
-            if za[1:] + za[:1] != zeta[self.rho[a]]:
-                raise AperiodicKernelWord(a)  # pragma: no cover
-        return zeta
+        return tuple(self.word(a) for a in range(len(self.rho)))
 
 
 def kernel(rule: LocalRule, g: GroupTable) -> KernelReport:

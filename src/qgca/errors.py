@@ -154,14 +154,6 @@ class NotEndomorphicCA(AnalysisError):
             f"rule is not an endomorphic CA; witness quadruple {witness}")
 
 
-class AperiodicKernelWord(AnalysisError):
-    """A kernel walk failed to return to its start: a falsification signal."""
-
-    def __init__(self, start):
-        self.start = start
-        super().__init__(f"kernel word starting at {start} is not purely periodic")
-
-
 class NotASubgroup(AnalysisError):
     def __init__(self, members, reason):
         self.members = members

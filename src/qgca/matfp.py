@@ -6,11 +6,16 @@ zeros; the zero polynomial is the empty tuple.  All arithmetic is mod p.
 """
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations, product, zip_longest
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import BadParams, ParseError, QgcaError, TooLarge
-from .quasigroup import is_prime, join_sweep, unpack_digits
+from .quasigroup import closed_sets, is_prime
 
 SUBSPACE_ENUMERATION_BOUND = 2 ** 20
 SUBSPACE_FAMILY_BOUND = 20000
@@ -34,15 +39,11 @@ def p_deg(f: Poly) -> int:
 
 
 def p_add(f: Poly, g: Poly, p: int) -> Poly:
-    n = max(len(f), len(g))
-    return p_norm([(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)
-                   for i in range(n)], p)
+    return p_norm([a + b for a, b in zip_longest(f, g, fillvalue=0)], p)
 
 
 def p_sub(f: Poly, g: Poly, p: int) -> Poly:
-    n = max(len(f), len(g))
-    return p_norm([(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)
-                   for i in range(n)], p)
+    return p_add(f, [-c for c in g], p)
 
 
 def p_mul(f: Poly, g: Poly, p: int) -> Poly:
@@ -241,7 +242,7 @@ def _local_min_poly(apply_fn: Callable[[Vec], Vec], v: Vec, p: int) -> Poly:
     extra columns then hold the combination of A^0 v .. A^k v it stands for.
     """
     n = len(v)
-    basis: tuple[Vec, ...] = ()
+    basis = ()
     w, k = v, 0
     while True:
         red = _reduce(basis, w + tuple(int(i == k) for i in range(n + 1)), p)
@@ -313,7 +314,7 @@ def _insert(basis: tuple[Vec, ...], v: Vec, p: int) -> tuple[Vec, ...]:
 
 def rref(rows: Sequence[Vec], p: int) -> tuple[Vec, ...]:
     """Canonical reduced row echelon basis of the span of ``rows``."""
-    basis: tuple[Vec, ...] = ()
+    basis = ()
     for row in rows:
         basis = _insert(basis, row, p)
     return basis
@@ -407,7 +408,7 @@ def rcf(m: MatrixFp) -> RcfResult:
 
 def cyclic_subspace(m: MatrixFp, v: Vec) -> tuple[Vec, ...]:
     """RREF basis of span{v, Mv, M^2 v, ...}."""
-    basis: tuple[Vec, ...] = ()
+    basis = ()
     w = v
     while not in_span(basis, w, m.p):
         basis = _insert(basis, w, m.p)
@@ -418,35 +419,48 @@ def cyclic_subspace(m: MatrixFp, v: Vec) -> tuple[Vec, ...]:
 def invariant_subspaces(m: MatrixFp) -> list[tuple[Vec, ...]]:
     """All nonzero proper M-invariant subspaces, as canonical RREF bases.
 
-    Strategy: cyclic subspaces of every (projective) vector, then sums of
-    pairs swept to a fixed point.  Every invariant subspace is a sum of
-    cyclic subspaces of its members, so the sweep is exhaustive.
+    An invariant subspace U is the sum of the cyclic subspaces C(v), v in U,
+    and C(v) lies in U exactly when v does.  So the subspaces are the closed
+    sets of :func:`closed_sets` over the distinct proper cyclic subspaces: a
+    step adds one to the basis and finds which the sum holds by reducing a
+    generating vector of each, all in one numpy pass.
     """
     p, n = m.p, m.n
     if p ** n > SUBSPACE_ENUMERATION_BOUND:
         raise TooLarge(f"{p}^{n} vectors exceed bound {SUBSPACE_ENUMERATION_BOUND}")
-    seeds = []
-    for idx in range(1, p ** n):
-        v = unpack_digits(p, n, idx)
-        lead = next(x for x in v if x)
-        if lead != 1:          # one representative per scalar line
-            continue
-        basis = cyclic_subspace(m, v)
-        if len(basis) < n:
-            seeds.append(basis)
+    seeds = {}                 # cyclic subspace -> a vector generating it
+    for v in product(range(p), repeat=n):
+        if next((x for x in v if x), 0) == 1:     # one vector per line
+            basis = cyclic_subspace(m, v)
+            if len(basis) < n:
+                seeds[basis] = v
+    atoms = list(seeds)
+    # each atom is a member, and so is every subspace of an eigenspace but
+    # 0 and itself; an eigenspace of c lines has dimension log_p(c(p-1) + 1)
+    lines = Counter(m.vec(b[0])[b[0].index(1)] for b in atoms if len(b) == 1)
+    least = sum(_gaussian_subspace_count(p, round(math.log(c * (p - 1) + 1, p)))
+                - 2 for c in lines.values())
+    if max(len(atoms), least) > SUBSPACE_FAMILY_BOUND:
+        raise TooLarge(f"invariant subspace family exceeds {SUBSPACE_FAMILY_BOUND}")
+    gens = np.array(list(zip(*seeds.values())), float)     # by columns
 
-    def join(x: tuple[Vec, ...], y: tuple[Vec, ...]) -> tuple[Vec, ...] | None:
-        for row in y:
+    def close(x, j):
+        for row in atoms[j]:
             x = _insert(x, row, p)
-        return x if len(x) < n else None
+        if len(x) < n:         # else the whole space: left out
+            # each RREF row is zero in the pivot columns of the others, and
+            # float sums of n products of residues are exact below 2**53
+            red = gens - np.array(x, float).T @ gens[[r.index(1) for r in x]]
+            inside = np.packbits(~np.fmod(red, p).any(0), bitorder="little")
+            return int.from_bytes(inside.tobytes(), "little"), x
 
-    family = join_sweep(seeds, join, SUBSPACE_FAMILY_BOUND,
-                        "invariant subspace family")
+    family = closed_sets(len(atoms), close, SUBSPACE_FAMILY_BOUND,
+                         "invariant subspace family")
     for basis in family:       # re-verify invariance of everything returned
         for row in basis:
             if not in_span(basis, m.vec(row), p):
-                raise QgcaError("sum sweep produced a non-invariant "
-                                "subspace")  # pragma: no cover
+                raise QgcaError("closed-set enumeration produced a "
+                                "non-invariant subspace")  # pragma: no cover
     return sorted(family, key=lambda b: (len(b), b))
 
 
@@ -470,8 +484,6 @@ def invariant_subspaces_exhaustive(m: MatrixFp) -> list[tuple[Vec, ...]]:
     reduced-echelon basis (pivot columns then free entries), filtered for
     invariance.  Feasible only for small spaces; used to cross-check
     :func:`invariant_subspaces`."""
-    from itertools import combinations, product as iproduct
-
     p, n = m.p, m.n
     if p ** n > EXHAUSTIVE_VECTOR_BOUND:
         raise TooLarge(f"{p}^{n} exceeds exhaustive bound {EXHAUSTIVE_VECTOR_BOUND}")
@@ -482,7 +494,7 @@ def invariant_subspaces_exhaustive(m: MatrixFp) -> list[tuple[Vec, ...]]:
         for pivots in combinations(range(n), k):
             free = [(i, j) for i in range(k) for j in range(n)
                     if j > pivots[i] and j not in pivots]
-            for values in iproduct(range(p), repeat=len(free)):
+            for values in product(range(p), repeat=len(free)):
                 rows = [[0] * n for _ in range(k)]
                 for i in range(k):
                     rows[i][pivots[i]] = 1

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -18,8 +18,6 @@ from .errors import (BadEntry, BadParams, DuplicateInColumn, DuplicateInRow,
 
 # largest order the closed-subset enumerators accept
 CLOSURE_ORDER_BOUND = 64
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +111,7 @@ def first_repeat(lines: np.ndarray) -> tuple[int, int, int] | None:
         return None
     line = int(bad.argmax())
     entries = lines[line].tolist()
-    first: dict[int, int] = {}
+    first = {}
     pos = next(i for i, v in enumerate(entries) if first.setdefault(v, i) != i)
     return line, first[entries[pos]], pos
 
@@ -128,10 +126,7 @@ def validate_latin(table, symbols: Sequence[str] | None = None) -> Quasigroup:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ParseError(f"table must be square and nonempty, got shape {arr.shape}")
     n = arr.shape[0]
-    if symbols is None:
-        symbols = tuple(str(i) for i in range(n))
-    else:
-        symbols = tuple(symbols)
+    symbols = tuple(map(str, range(n)) if symbols is None else symbols)
     if len(symbols) != n:
         raise ParseError(f"{len(symbols)} symbols for a {n}x{n} table")
     if len(set(symbols)) != n:
@@ -173,63 +168,73 @@ def is_associative(q: Quasigroup) -> bool:
 
 
 def closure(q: Quasigroup, seed: Iterable[int],
-            unary: Sequence[Sequence[int]] = ()) -> frozenset[int]:
-    """Smallest subset containing ``seed`` and closed under the operation and
-    under each map in ``unary`` (given as an image tuple).
-
-    Each element is multiplied, on both sides, only with the elements taken
-    before it, so every product is formed once.
+            unary: Sequence[Sequence[int]] = (),
+            base: Iterable[int] = ()) -> frozenset[int]:
+    """Smallest subset containing ``seed`` and the closed set ``base``, closed
+    under the operation and each map in ``unary`` (an image tuple).  Each new
+    element is multiplied, on both sides, only with the elements taken before
+    it, base first: every product is formed once, none of two base elements.
     """
-    rows = q.rows
-    members = set(seed)
-    todo = list(members)
-    done: list[int] = []
+    rows, done = q.rows, list(base)
+    members = set(done).union(seed)
+    todo = list(members.difference(done))
     while todo:
         a = todo.pop()
         done.append(a)
         ra = rows[a]
         found = [f[a] for f in unary]
         for b in done:
-            found.append(ra[b])
-            found.append(rows[b][a])
-        for v in found:
-            if v not in members:
-                members.add(v)
-                todo.append(v)
+            found += ra[b], rows[b][a]
+        new = set(found) - members
+        members |= new
+        todo += new
     return frozenset(members)
 
 
-def join_sweep(seeds: Iterable[T], join: Callable[[T, T], T | None],
-               bound: int | None = None, what: str = "family") -> list[T]:
-    """Every join of one or more seeds, seeds first.
+def closed_sets(n: int, close, bound: int | None = None,
+                what: str = "family") -> list:
+    """Every closed set that one or more of the items 0..n-1 generate under
+    a closure operator, each once, by Fast Close-by-One (Outrata and
+    Vychodil, Information Sciences 185, 2012), with sets as int bitmasks.
 
-    Each member, seed or found, is joined once with every seed; a join of
-    several seeds is reached one seed at a time, so the family is complete
-    when no join yields a new member.  ``join`` returns None for a pair
-    whose join is left out of the family.  Raises TooLarge when the family
-    grows past ``bound`` members.
+    ``close(x, j)`` returns (mask, state) of the closure of item j and the
+    closed set with state x (the empty set's is ()), or None to leave that
+    set out, which suits only the set of all items.  A child z of x is kept
+    when it adds no item below j, so each set has one parent; a rejected z
+    is passed down, and a descendant y skips j when z has an item below j
+    outside y, as the closure of y and j would too.  Returns the states;
+    raises TooLarge when there are more than ``bound`` of them.
     """
-    atoms = list(dict.fromkeys(seeds))
-    members = list(atoms)
-    family = set(members)
-    for x in members:                        # members grows while we loop
-        if bound is not None and len(members) > bound:
-            raise TooLarge(f"{what} exceeds {bound}")
-        for a in atoms:
-            u = join(x, a)
-            if u is not None and u not in family:
-                family.add(u)
-                members.append(u)
-    return members
+    out = []
+
+    def search(x, state, start, failed):
+        kids = []
+        failed = failed[:]      # failed[j]: what a rejected z added below j
+        for j in range(start, n):
+            if x >> j & 1 or failed[j] & ~x:
+                continue
+            got = close(state, j)
+            if got:
+                if new := got[0] & ~x & (1 << j) - 1:
+                    failed[j] = new
+                elif len(out) == bound:
+                    raise TooLarge(f"{what} exceeds {bound}")
+                else:
+                    out.append(got[1])
+                    kids.append((j, *got))
+        for j, z, kid in kids:
+            search(z, kid, j + 1, failed)
+
+    search(0, (), 0, [0] * n)
+    return out
 
 
 def subquasigroups(q: Quasigroup, include_trivial: bool = False,
                    unary: Sequence[Sequence[int]] = ()
                    ) -> list[tuple[int, ...]]:
-    """All subsets closed under the operation and the maps in ``unary``.
+    """All nonempty subsets closed under the operation and the maps in
+    ``unary``, enumerated by :func:`closed_sets` over the elements.
 
-    Every closed subset is the join of the closures of its elements, so the
-    closures of single elements, swept under pairwise join, find them all.
     By default only proper subsets of size >= 2 are returned;
     ``include_trivial`` adds the closed singletons and the full set.
     """
@@ -237,18 +242,13 @@ def subquasigroups(q: Quasigroup, include_trivial: bool = False,
     if n > CLOSURE_ORDER_BOUND:
         raise OrderTooLarge(n, CLOSURE_ORDER_BOUND)
 
-    def join(x: frozenset[int], y: frozenset[int]) -> frozenset[int]:
-        if x <= y:
-            return y
-        if y <= x:
-            return x
-        return closure(q, x | y, unary)
+    def close(x, j):
+        z = closure(q, (j,), unary, x)
+        return sum(1 << a for a in z), z
 
-    family = join_sweep((closure(q, (a,), unary) for a in range(n)), join)
-    out = [tuple(sorted(s)) for s in family
-           if include_trivial or 1 < len(s) < n]
-    out.sort(key=lambda s: (len(s), s))
-    return out
+    return sorted((tuple(sorted(s)) for s in closed_sets(n, close)
+                   if include_trivial or 1 < len(s) < n),
+                  key=lambda s: (len(s), s))
 
 
 # ---------------------------------------------------------------------------
@@ -314,18 +314,21 @@ def _quaternion_mul(a: int, b: int) -> int:
         return 2 * xa + s
     if xa == xb:
         return s ^ 1
-    third = {(1, 2): (3, 0), (2, 3): (1, 0), (3, 1): (2, 0),
-             (2, 1): (3, 1), (3, 2): (1, 1), (1, 3): (2, 1)}
-    xc, flip = third[(xa, xb)]
-    return 2 * xc + (s ^ flip)
+    # the third axis, 6 - xa - xb, negated unless xa, xb run in i, j, k order
+    return 2 * (6 - xa - xb) + (s ^ ((xb - xa) % 3 == 2))
+
+
+def _shifts(n: int):
+    """An n x n view whose row a is 0..n-1 rotated left by a, so entry
+    (a, b) is (a + b) mod n: entry a + b of 0..n-1 repeated twice."""
+    idx = np.tile(np.arange(n, dtype=index_dtype(n)), 2)
+    return np.lib.stride_tricks.as_strided(idx, (n, n), idx.strides * 2)
 
 
 def _cyclic(n: int) -> Quasigroup:
     if n < 1:
         raise BadParams(f"cyclic order must be positive, got {n}")
-    idx = np.arange(n)
-    return Quasigroup(tuple(str(i) for i in range(n)),
-                      freeze_table((idx[:, None] + idx[None, :]) % n))
+    return Quasigroup(tuple(str(i) for i in range(n)), freeze_table(_shifts(n)))
 
 
 def _ledrappier(p: int, c0: int, c1: int) -> Quasigroup:
@@ -334,7 +337,7 @@ def _ledrappier(p: int, c0: int, c1: int) -> Quasigroup:
     if not (0 < c0 % p and 0 < c1 % p):
         raise BadParams("ledrappier coefficients must be nonzero mod p")
     idx = np.arange(p)
-    table = (c0 * idx[:, None] + c1 * idx[None, :]) % p
+    table = _shifts(p)[np.ix_(c0 * idx % p, c1 * idx % p)]
     return Quasigroup(tuple(str(i) for i in range(p)), freeze_table(table))
 
 
@@ -354,26 +357,24 @@ def _nonabelian21() -> Quasigroup:
             return f"b{j}"
         return f"a{i}b{j}"
 
-    symbols = tuple(name(i, j) for i in range(7) for j in range(3))
-    table = np.empty((21, 21), dtype=np.int64)
-    for u in range(21):
-        i, j = divmod(u, 3)
-        for v in range(21):
-            k, l = divmod(v, 3)
-            table[u, v] = ((i + k * pow(2, j, 7)) % 7) * 3 + (j + l) % 3
-    return Quasigroup(symbols, freeze_table(table))
+    pairs = [divmod(u, 3) for u in range(21)]
+    table = [[(i + k * 2 ** j) % 7 * 3 + (j + l) % 3 for k, l in pairs]
+             for i, j in pairs]
+    return Quasigroup(tuple(name(i, j) for i, j in pairs),
+                      freeze_table(np.array(table)))
 
 
 def product(left: Quasigroup, right: Quasigroup) -> Quasigroup:
     """Componentwise product; combined index is left_index * |right| + right_index."""
     nl, nr = left.order, right.order
-    lt = left.table.astype(np.int64)
-    rt = right.table.astype(np.int64)
-    li, ri = np.divmod(np.arange(nl * nr), nr)
-    table = lt[np.ix_(li, li)] * nr + rt[np.ix_(ri, ri)]
+    # entry ((a, b), (c, d)) at [a, b, c, d], formed in the index dtype
+    table = np.empty((nl, nr, nl, nr), index_dtype(nl * nr))
+    np.multiply(left.table[:, None, :, None], np.int32(nr), out=table,
+                casting="unsafe")
+    table += right.table[:, None]
     symbols = tuple(f"({left.symbols[a]},{right.symbols[b]})"
                     for a in range(nl) for b in range(nr))
-    return Quasigroup(symbols, freeze_table(table))
+    return Quasigroup(symbols, freeze_table(table.reshape(nl * nr, -1)))
 
 
 def builtin(name: str, params: Sequence = ()) -> Quasigroup:

@@ -344,6 +344,13 @@ def test_invsubspaces_family_bound_exit_code(capsys, monkeypatch):
     assert err == "bound exceeded: invariant subspace family exceeds 100"
 
 
+def test_qg_sub_order_bound_exit_code(capsys):
+    code, _, err = run(capsys, "qg", "sub",
+                       f"@cyclic,{qg.CLOSURE_ORDER_BOUND + 1}")
+    assert code == 3
+    assert err == "bound exceeded: order 65 exceeds enumeration bound 64"
+
+
 def test_paper_suite_depth3(capsys):
     code, raw, _ = run_raw(capsys, "paper-suite", "--depth", "3")
     assert code == 0

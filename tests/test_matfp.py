@@ -264,7 +264,8 @@ def test_m7neg_invariant_subspaces_frozen():
 
 
 def test_invariant_subspaces_strategies_agree(rng):
-    for p, n in ((2, 3), (2, 4), (3, 3), (5, 2)):
+    for p, n in ((2, 3), (2, 4), (3, 3), (5, 2), (2, 5), (2, 6), (3, 4),
+                 (7, 2), (3, 2), (2, 2)):
         for _ in range(4):
             m = random_matrix(p, n, rng)
             assert mf.invariant_subspaces(m) == \
@@ -290,6 +291,34 @@ def test_invariant_subspaces_family_bound(monkeypatch):
     monkeypatch.setattr(mf, "SUBSPACE_FAMILY_BOUND", 209)
     with pytest.raises(TooLarge, match="invariant subspace family exceeds 209"):
         mf.invariant_subspaces(ident)
+
+
+def test_invariant_subspaces_family_bound_beyond_the_eigenspace_count(
+        monkeypatch):
+    """diag(1, 1, 2) over F_3 has 9 distinct proper cyclic subspaces and 10
+    invariant subspaces (5 lines, the plane E_1 and the 4 planes through
+    E_2), so the 10th is found by the enumeration, not by the counts of
+    cyclic subspaces or of eigenspace subspaces that it makes first."""
+    m = mf.MatrixFp.from_rows(3, [[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+    assert mf.invariant_subspaces(m) == mf.invariant_subspaces_exhaustive(m)
+    monkeypatch.setattr(mf, "SUBSPACE_FAMILY_BOUND", 10)
+    assert len(mf.invariant_subspaces(m)) == 10
+    monkeypatch.setattr(mf, "SUBSPACE_FAMILY_BOUND", 9)
+    with pytest.raises(TooLarge, match="invariant subspace family exceeds 9"):
+        mf.invariant_subspaces(m)
+
+
+def test_invariant_subspaces_family_bound_from_eigenspace_count(monkeypatch):
+    """The identity on F_2^10 has 1,023 lines and far more than
+    SUBSPACE_FAMILY_BOUND subspaces, all invariant: the bound is exceeded
+    before any closed set is enumerated."""
+    def enumerate_nothing(*args):
+        raise AssertionError("closed sets were enumerated")
+
+    monkeypatch.setattr(mf, "closed_sets", enumerate_nothing)
+    with pytest.raises(TooLarge, match="invariant subspace family exceeds "
+                                       f"{mf.SUBSPACE_FAMILY_BOUND}"):
+        mf.invariant_subspaces(mf.MatrixFp.identity(2, 10))
 
 
 # ---------------------------------------------------------------------------

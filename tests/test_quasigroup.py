@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from qgca import automaton as ca
 from qgca import groups as gr
 from qgca import quasigroup as qg
 from qgca.errors import (BadEntry, BadParams, DuplicateInColumn,
-                         DuplicateInRow, ParseError, UnknownName)
+                         DuplicateInRow, ParseError, TooLarge, UnknownName)
 from qgca.suite import random_latin_square
 
 import oracles
@@ -315,6 +316,147 @@ def test_order_bound():
                                  qg.builtin("cyclic", [9])])
     with pytest.raises(OrderTooLarge):
         qg.subquasigroups(big)
+
+
+def gaussian_binomial(n, k, q):
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def test_closure_order_bound_admits_z2_to_the_6():
+    """(Z/2)^6 has order CLOSURE_ORDER_BOUND and exactly the
+    sum over k = 1..5 of [6 k]_2 = 2,823 proper nontrivial subgroups, each
+    a subspace of F_2^6; one element more is refused."""
+    from qgca.errors import OrderTooLarge
+    q = gr.elementary_abelian_group(2, 6).quasigroup()
+    assert q.order == qg.CLOSURE_ORDER_BOUND == 64
+    expected = sum(gaussian_binomial(6, k, 2) for k in range(1, 6))
+    assert expected == 2823
+    found = qg.subquasigroups(q)
+    assert len(found) == expected
+    assert all(len(s) in (2, 4, 8, 16, 32) for s in found)
+    with pytest.raises(OrderTooLarge) as exc:
+        qg.subquasigroups(qg.builtin("cyclic", [qg.CLOSURE_ORDER_BOUND + 1]))
+    assert (exc.value.order, exc.value.bound) == (65, 64)
+
+
+@settings(max_examples=150)
+@given(n=st.integers(1, 7), seed=st.integers(0, 2 ** 32 - 1))
+def test_subquasigroups_of_random_latin_squares_match_bitmask_oracle(n, seed):
+    q = qg.validate_latin(random_latin_square(n, random.Random(seed)))
+    assert qg.subquasigroups(q, include_trivial=True) == sorted(
+        closed_subsets_bitmask(q.rows), key=lambda s: (len(s), s))
+
+
+_SMALL_GROUPS = ["cyclic 1", "cyclic 2", "cyclic 6", "cyclic 8", "cyclic 12",
+                 "quaternion", "product cyclic 2 cyclic 2",
+                 "product cyclic 2 product cyclic 2 cyclic 2",
+                 "product cyclic 3 cyclic 3", "product cyclic 2 cyclic 4",
+                 "product cyclic 2 cyclic 6"]
+
+
+@settings(max_examples=150)
+@given(spec=st.sampled_from(_SMALL_GROUPS), data=st.data())
+def test_rho_invariant_subgroups_match_bitmask_oracle(spec, data):
+    """Closure under the operation and one identity-fixing permutation rho
+    (any permutation, not only automorphisms) against a scan of all 2^N
+    subsets."""
+    g = gr.from_quasigroup(qg.builtin_from_spec(spec))
+    others = [a for a in range(g.order) if a != g.identity]
+    rho = list(range(g.order))
+    for a, b in zip(others, data.draw(st.permutations(others))):
+        rho[a] = b
+    oracle = oracles.subgroups_bitmask(
+        g.rows, g.identity, [g.inv(a) for a in range(g.order)], rho=rho)
+    assert qg.subquasigroups(g, include_trivial=True, unary=(tuple(rho),)) \
+        == sorted(oracle, key=lambda s: (len(s), s))
+
+
+def test_closure_from_a_closed_base_matches_closure_from_scratch(d7, quat,
+                                                                 rng):
+    for q in (d7, quat, qg.validate_latin(random_latin_square(6, rng))):
+        for base in qg.subquasigroups(q, include_trivial=True):
+            for a in range(q.order):
+                assert qg.closure(q, (a,), base=base) \
+                    == qg.closure(q, (a, *base))
+
+
+def test_closed_sets_enumerate_each_set_once_from_few_closures(monkeypatch):
+    """Fast Close-by-One closes (Z/2)^5's 374 nonempty subgroups from 1,599
+    closures; a sweep joining every member with every element took 9,518.
+    The count depends only on the table and the item order."""
+    q = gr.elementary_abelian_group(2, 5).quasigroup()
+    calls = []
+    real = qg.closure
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qg, "closure", counting)
+    found = qg.subquasigroups(q, include_trivial=True)
+    assert len(found) == len(set(found)) == 374
+    assert len(calls) == 1599
+
+
+def test_closed_sets_bound_and_left_out_sets():
+    """Every subset of {0, 1, 2} is closed under the identity closure; the
+    full set is left out by returning None, and a bound of 6 admits the six
+    others while 5 is exceeded."""
+    def close(x, j):
+        z = set(x) | {j}
+        if len(z) < 3:
+            return sum(1 << a for a in z), tuple(sorted(z))
+
+    found = qg.closed_sets(3, close, 6, "subsets")
+    assert sorted(found) == [(0,), (0, 1), (0, 2), (1,), (1, 2), (2,)]
+    with pytest.raises(TooLarge, match="subsets exceeds 5"):
+        qg.closed_sets(3, close, 5, "subsets")
+
+
+def test_cyclic_builtin_memory():
+    """The cyclic table is copied once from a rotating view in the index
+    dtype: at order 2401 the build peaks under 2.5 bytes per n^2 entry,
+    of which the int16 table holds 2."""
+    n = 2401
+    tracemalloc.start()
+    try:
+        q = qg.builtin("cyclic", [n])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.table.dtype == np.int16
+    assert peak <= 2.5 * n ** 2
+    assert q.table[1234].tolist() == [(1234 + b) % n for b in range(n)]
+
+
+@pytest.mark.parametrize("name, params, formula", [
+    ("cyclic", [1], lambda a, b: 0),
+    ("cyclic", [9], lambda a, b: (a + b) % 9),
+    ("ledrappier", [7, 3, 5], lambda a, b: (3 * a + 5 * b) % 7),
+    ("ledrappier", [11, -4, 27], lambda a, b: (-4 * a + 27 * b) % 11),
+])
+def test_builtin_tables_match_their_formulas(name, params, formula):
+    q = qg.builtin(name, params)
+    n = q.order
+    assert q.table.tolist() == [[formula(a, b) for b in range(n)]
+                                for a in range(n)]
+
+
+@pytest.mark.parametrize("left, right", [("cyclic 3", "quaternion"),
+                                         ("quaternion", "cyclic 1"),
+                                         ("cyclic 1", "D7"),
+                                         ("D7", "product cyclic 2 cyclic 3")])
+def test_product_table_packs_left_times_right_order_plus_right(left, right):
+    lq, rq = qg.builtin_from_spec(left), qg.builtin_from_spec(right)
+    q, nr = qg.product(lq, rq), rq.order
+    assert q.table.dtype == qg.index_dtype(q.order)
+    assert q.table.tolist() == [
+        [lq.mul(a // nr, c // nr) * nr + rq.mul(a % nr, c % nr)
+         for c in range(q.order)] for a in range(q.order)]
 
 
 def test_builtin_ledrappier_xor():
