@@ -341,7 +341,7 @@ def linear_view(g: GroupTable, rho) -> LinearView | None:
     matrix = MatrixFp.from_rows(p, coord[r[list(basis)]].T)
     m = np.asarray(matrix.rows, dtype=np.int64)
     if not np.array_equal(coord @ m.T % p, coord[r]):
-        return None  # pragma: no cover - re-verify the matrix reproduces rho
+        return None
     elements = {tuple(v): a for a, v in enumerate(coord.tolist())}
     return LinearView(p, k, basis, elements, matrix)
 

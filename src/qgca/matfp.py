@@ -154,7 +154,7 @@ def coprime_lcm_split(f: Poly, g: Poly, p: int) -> tuple[Poly, Poly]:
     big_g = p_mul(b, heavy_g, p)
     if p_deg(p_gcd(big_f, big_g, p)) != 0 or \
             p_mul(big_f, big_g, p) != p_lcm(f, g, p):
-        raise QgcaError("coprime lcm split failed")  # pragma: no cover
+        raise QgcaError("coprime lcm split failed")
     return big_f, big_g
 
 
@@ -392,14 +392,14 @@ def rcf(m: MatrixFp) -> RcfResult:
         prod = p_mul(prod, f, p)
     if prod != char_poly(m):
         raise QgcaError("invariant factors do not multiply to the "
-                        "characteristic polynomial")  # pragma: no cover
+                        "characteristic polynomial")
     for a, b in zip(factors, factors[1:]):
         if p_divmod(b, a, p)[1] != ():
             raise QgcaError("invariant factors fail the divisibility "
-                            "chain")  # pragma: no cover
+                            "chain")
     if factors[-1] != min_poly(m):
         raise QgcaError("largest invariant factor is not the minimal "
-                        "polynomial")  # pragma: no cover
+                        "polynomial")
     return RcfResult(factors, simple=len(factors) == 1)
 
 
@@ -460,7 +460,7 @@ def invariant_subspaces(m: MatrixFp) -> list[tuple[Vec, ...]]:
         for row in basis:
             if not in_span(basis, m.vec(row), p):
                 raise QgcaError("closed-set enumeration produced a "
-                                "non-invariant subspace")  # pragma: no cover
+                                "non-invariant subspace")
     return sorted(family, key=lambda b: (len(b), b))
 
 

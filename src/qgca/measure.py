@@ -93,6 +93,15 @@ def _bounds(lv: Level) -> np.ndarray:
                            _fit(np.arange(n + 1), (n + 1) * below) * below)
 
 
+def _split(lv: Level) -> Parts:
+    """A whole level (depth >= 1) as the entry count of each first-symbol
+    slice and a builder of its slices lo..hi-1."""
+    at = _bounds(lv)
+    return np.diff(at), lambda lo, hi: Level(
+        lv.alphabet_size, lv.depth, lv.codes[at[lo]:at[hi]],
+        lv.nums[at[lo]:at[hi]], lv.den)
+
+
 def _pushed(parts: Sequence[Callable[[], Level]], depth: int,
             key: Callable[[Level], np.ndarray]) -> Level:
     """The level of ``depth`` whose mass at each code is the summed mass of
@@ -138,12 +147,10 @@ class CylinderMeasure:
     """Base evaluator: exact mass of the cylinder fixing a finite prefix.
 
     Subclasses implement ``_eval`` for nonempty words and may implement
-    ``_level`` and ``_parts`` for depths >= 1.  All kinds satisfy right
-    additivity, eval(w) = sum_b eval(w + (b,)), so a level built by
-    extending the previous one's support loses no positive word.
+    ``_parts`` for depths >= 1.  All kinds satisfy right additivity,
+    eval(w) = sum_b eval(w + (b,)), so a level built by extending the
+    previous one's support loses no positive word.
     """
-
-    kind = "abstract"
 
     def __init__(self, alphabet_size: int):
         if alphabet_size < 1:
@@ -169,10 +176,13 @@ class CylinderMeasure:
         if depth == 0:
             return Level(self.alphabet_size, 0, np.zeros(1, dtype=np.int64),
                          np.ones(1, dtype=np.int64), 1)
-        return self._level(depth)
+        sizes, build = self._parts(depth)
+        return build(0, len(sizes))
 
-    def _level(self, depth: int) -> Level:
-        # generic path: the N children of each previous positive word
+    def _parts(self, depth: int) -> Parts:
+        """The entry count of each first-symbol slice of the level of
+        ``depth`` >= 1, and a builder of its slices lo..hi-1.  This generic
+        path evaluates the N children of each previous positive word."""
         n = self.alphabet_size
         prev = self.level(depth - 1)
         codes = (_fit(prev.codes, n ** depth)[:, None] * n
@@ -182,8 +192,8 @@ class CylinderMeasure:
         den = math.lcm(*(masses[i].denominator for i in keep))
         nums = [masses[i].numerator * (den // masses[i].denominator)
                 for i in keep]
-        return Level(n, depth, codes[keep], np.array(nums, dtype=_dtype(den)),
-                     den)
+        return _split(Level(n, depth, codes[keep],
+                            np.array(nums, dtype=_dtype(den)), den))
 
     def _slices(self, depth: int) -> list[Callable[[], Level]]:
         """The level of ``depth`` >= 1 as builders of consecutive chunks of
@@ -204,16 +214,6 @@ class CylinderMeasure:
             return [lambda: whole]
         return parts + [partial(build, lo, len(sizes))]
 
-    def _parts(self, depth: int) -> Parts:
-        """The entry count of each first-symbol slice of the level of
-        ``depth`` >= 1, and a builder of its slices lo..hi-1.  This path
-        splits the whole level."""
-        lv = self.level(depth)
-        at = _bounds(lv)
-        return np.diff(at), lambda lo, hi: Level(
-            lv.alphabet_size, depth, lv.codes[at[lo]:at[hi]],
-            lv.nums[at[lo]:at[hi]], lv.den)
-
     def positive_words(self, depth: int) -> Iterator[tuple[Word, Fraction]]:
         """All positive-mass words of the given length, lexicographically."""
         lv = self.level(depth)
@@ -225,14 +225,8 @@ class CylinderMeasure:
 class UniformMeasure(CylinderMeasure):
     """Uniform Bernoulli: every length-M cylinder has mass 1/N^M."""
 
-    kind = "uniform"
-
     def _eval(self, word: Word) -> Fraction:
         return Fraction(1, self.alphabet_size ** len(word))
-
-    def _level(self, depth: int) -> Level:
-        sizes, build = self._parts(depth)
-        return build(0, len(sizes))
 
     def _parts(self, depth: int) -> Parts:
         n, size = self.alphabet_size, self.alphabet_size ** (depth - 1)
@@ -242,8 +236,6 @@ class UniformMeasure(CylinderMeasure):
 
 
 class MarkovMeasure(CylinderMeasure):
-    kind = "markov"
-
     def __init__(self, initial: Sequence[Fraction],
                  transition: Sequence[Sequence[Fraction]]):
         initial = tuple(Fraction(v) for v in initial)
@@ -274,10 +266,6 @@ class MarkovMeasure(CylinderMeasure):
             p *= self.transition[a][b]
         return p
 
-    def _level(self, depth: int) -> Level:
-        sizes, build = self._parts(depth)
-        return build(0, len(sizes))
-
     def _parts(self, depth: int) -> Parts:
         n, unit, start, step = (self.alphabet_size, self._unit, self._start,
                                 self._step)
@@ -307,8 +295,6 @@ class MarkovMeasure(CylinderMeasure):
 class BernoulliMeasure(MarkovMeasure):
     """The Markov chain whose every symbol is drawn from ``weights``."""
 
-    kind = "bernoulli"
-
     def __init__(self, weights: Sequence[Fraction]):
         weights = tuple(Fraction(w) for w in weights)
         if any(w < 0 for w in weights):
@@ -321,8 +307,6 @@ class BernoulliMeasure(MarkovMeasure):
 
 class OrbitMeasure(CylinderMeasure):
     """Uniform measure on the shift orbit of a periodic point."""
-
-    kind = "orbit"
 
     def __init__(self, alphabet_size: int, period_word: Sequence[int]):
         super().__init__(alphabet_size)
@@ -342,67 +326,43 @@ class OrbitMeasure(CylinderMeasure):
                 hits += 1
         return Fraction(hits, len(self.points))
 
-    def _level(self, depth: int) -> Level:
+    def _parts(self, depth: int) -> Parts:
         n, pts = self.alphabet_size, np.array(self.points)
         prefixes = _fit(np.zeros(len(pts), dtype=np.int64), n ** depth)
         for i in range(depth):
             prefixes = prefixes * n + pts[:, i % pts.shape[1]]
         codes, hits = np.unique(prefixes, return_counts=True)
-        return Level(n, depth, codes, hits.astype(np.int64), len(pts))
+        return _split(Level(n, depth, codes, hits.astype(np.int64),
+                            len(pts)))
 
 
 class ProductMeasure(CylinderMeasure):
-    """Product of two measures under a pairing of the combined alphabet.
+    """Product of two measures; the combined symbol of the pair (a, b) is
+    a * |right| + b."""
 
-    The default pairing packs indices as left * |right| + right.
-    """
-
-    kind = "product"
-
-    def __init__(self, left: CylinderMeasure, right: CylinderMeasure,
-                 pairing: Sequence[tuple[int, int]] | None = None):
-        n = left.alphabet_size * right.alphabet_size
-        super().__init__(n)
+    def __init__(self, left: CylinderMeasure, right: CylinderMeasure):
+        super().__init__(left.alphabet_size * right.alphabet_size)
         self.left = left
         self.right = right
-        if pairing is None:
-            pairing = tuple((a, b)
-                            for a in range(left.alphabet_size)
-                            for b in range(right.alphabet_size))
-        else:
-            pairing = tuple((int(a), int(b)) for a, b in pairing)
-            if sorted(pairing) != sorted(
-                    (a, b) for a in range(left.alphabet_size)
-                    for b in range(right.alphabet_size)):
-                raise BadParams("pairing must be a bijection with the factor pairs")
-        if len(pairing) != n:
-            raise BadParams("pairing size must equal the combined alphabet")
-        self.pairing = pairing
-        # the factor symbols of each combined symbol, and its inverse table
-        self._left, self._right = np.array(pairing).T
-        self._symbol = np.empty((left.alphabet_size, right.alphabet_size),
-                                dtype=np.int64)
-        self._symbol[self._left, self._right] = np.arange(n)
 
     def _eval(self, word: Word) -> Fraction:
-        lw = tuple(self.pairing[s][0] for s in word)
-        rw = tuple(self.pairing[s][1] for s in word)
-        return self.left.eval(lw) * self.right.eval(rw)
-
-    def _level(self, depth: int) -> Level:
-        sizes, build = self._parts(depth)
-        return build(0, len(sizes))
+        nr = self.right.alphabet_size
+        return (self.left.eval(tuple(s // nr for s in word))
+                * self.right.eval(tuple(s % nr for s in word)))
 
     def _parts(self, depth: int) -> Parts:
-        n, left, right = self.alphabet_size, self._left, self._right
+        n, nr = self.alphabet_size, self.right.alphabet_size
         lv, rv = self.left.level(depth), self.right.level(depth)
-        digits = [(a.astype(np.int64), b.astype(np.int64)) for a, b in
-                  zip(unpack_digits(lv.alphabet_size, depth, lv.codes),
-                      unpack_digits(rv.alphabet_size, depth, rv.codes))]
+        # each factor word's digits read in base N: the pair of the left
+        # word u and the right word v has the code nr * u + v
+        u, v = (pack_digits(n, [_fit(d.astype(np.int64), n ** depth) for d in
+                                unpack_digits(f.alphabet_size, depth, f.codes)])
+                for f in (lv, rv))
         den = lv.den * rv.den
         lnums, rnums = _fit(lv.nums, den), _fit(rv.nums, den)
-        # slice s pairs the left words starting with a and the right words
-        # starting with b, for (a, b) = pairing[s]
+        # slice s pairs the left words starting with s // nr and the right
+        # words starting with s % nr
+        left, right = np.divmod(np.arange(n), nr)
         lstart, rstart = _bounds(lv), _bounds(rv)
         width = np.diff(rstart)[right]
         sizes = np.diff(lstart)[left] * width
@@ -414,8 +374,7 @@ class ProductMeasure(CylinderMeasure):
             t = np.arange(offset[lo], offset[hi]) - offset[s]
             i = lstart[left[s]] + t // width[s]
             j = rstart[right[s]] + t % width[s]
-            codes = pack_digits(n, [_fit(self._symbol[a[i], b[j]], n ** depth)
-                                    for a, b in digits])
+            codes = nr * u[i] + v[j]
             order = np.argsort(codes)
             return Level(n, depth, codes[order], (lnums[i] * rnums[j])[order],
                          den)
@@ -433,8 +392,6 @@ class CaPushforward(CylinderMeasure):
     level is a single chunk, sorted and summed in one pass.
     """
 
-    kind = "pushforward_ca"
-
     def __init__(self, base: CylinderMeasure, rule: LocalRule):
         if not rule.is_rnnca or not is_bipermutative(rule):
             raise NotBipermutative("pushforward needs a bipermutative "
@@ -450,9 +407,10 @@ class CaPushforward(CylinderMeasure):
         return sum((self.base.eval(f)
                     for f in fiber_preimages(self.rule, word)), ZERO)
 
-    def _level(self, depth: int) -> Level:
-        return _pushed(self.base._slices(depth + 1), depth,
-                       lambda lv: _ca_image(self.rule, lv.codes, depth))
+    def _parts(self, depth: int) -> Parts:
+        rule = self.rule
+        return _split(_pushed(self.base._slices(depth + 1), depth,
+                              lambda lv: _ca_image(rule, lv.codes, depth)))
 
 
 class ShiftPushforward(CylinderMeasure):
@@ -462,8 +420,6 @@ class ShiftPushforward(CylinderMeasure):
     modulo N**d, which are distinct within one first-symbol slice.
     """
 
-    kind = "pushforward_shift"
-
     def __init__(self, base: CylinderMeasure):
         super().__init__(base.alphabet_size)
         self.base = base
@@ -472,10 +428,10 @@ class ShiftPushforward(CylinderMeasure):
         return sum((self.base.eval((b,) + word)
                     for b in range(self.alphabet_size)), ZERO)
 
-    def _level(self, depth: int) -> Level:
+    def _parts(self, depth: int) -> Parts:
         size = self.alphabet_size ** depth
-        return _pushed(self.base._slices(depth + 1), depth,
-                       lambda lv: lv.codes % size)
+        return _split(_pushed(self.base._slices(depth + 1), depth,
+                              lambda lv: lv.codes % size))
 
 
 # ---------------------------------------------------------------------------
@@ -506,11 +462,6 @@ def _check_depth(alphabet_size: int, depth: int) -> None:
         raise DepthTooLarge(alphabet_size, depth, WORD_ENUMERATION_BOUND)
 
 
-def _word(lv: Level, code) -> Word:
-    return tuple(int(s) for s in
-                 unpack_digits(lv.alphabet_size, lv.depth, int(code)))
-
-
 @dataclass(frozen=True)
 class InvarianceReport:
     transform: str
@@ -538,10 +489,11 @@ def _max_deviation(a: Level, b: Level) -> tuple[Fraction, Word | None]:
     if best == 0:
         return ZERO, None
     # the first word reaching it, among a's words and among b's other words
-    firsts = [codes[np.argmax(dev == best)]
+    firsts = [codes[[np.argmax(dev == best)]]
               for codes, dev in ((a.codes, diff), (b.codes[~shared], alone))
               if best in dev]
-    return Fraction(int(best), den), _word(a, min(firsts))
+    return Fraction(int(best), den), min(
+        _words(a.alphabet_size, a.depth, np.concatenate(firsts)))
 
 
 def invariance_report(m: CylinderMeasure, depth: int,
@@ -620,11 +572,7 @@ def _entropy_combo(chunks: Iterable[Level]) -> dict[int, Fraction]:
 def _combo_float(combo: dict[int, Fraction]) -> float:
     total = 0.0
     for base in sorted(combo):
-        coeff = combo[base]
-        if base == 2:
-            total += float(coeff)
-        else:
-            total += float(coeff) * math.log2(base)
+        total += float(combo[base]) * math.log2(base)
     return total
 
 
@@ -767,7 +715,8 @@ def coset_measure_check(m: CylinderMeasure, g: GroupTable,
     if not ok.all():
         first = int(np.argmin(ok))
         checked = first + 1
-        word = _word(own, own.codes[picked[first]])
+        word = _words(m.alphabet_size, depth,
+                      own.codes[picked[first:first + 1]])[0]
         dist = conditional_dist(m, word)
         support = [b for b, v in enumerate(dist) if v > 0]
         coset = sorted(int(g.table[c, support[0]]) for c in members) \

@@ -102,14 +102,20 @@ def freeze_table(arr: np.ndarray) -> np.ndarray:
 def first_repeat(lines: np.ndarray) -> tuple[int, int, int] | None:
     """First line of an m x n array with entries in 0..n-1 that is not a
     permutation, as (line, first position, repeat position) of its first
-    repeated entry; None when every line is a permutation."""
+    repeated entry; None when every line is a permutation.  The hits are
+    marked one block of about 2**18 entries at a time."""
     m, n = lines.shape
-    hit = np.zeros((m, n), dtype=bool)
-    hit[np.arange(m)[:, None], lines] = True
-    bad = ~hit.all(axis=1)
-    if not bad.any():
+    rows = max(1, 2 ** 18 // n)
+    for lo in range(0, m, rows):
+        block = lines[lo:lo + rows]
+        hit = np.zeros(block.shape, dtype=bool)
+        hit[np.arange(len(block))[:, None], block] = True
+        bad = ~hit.all(axis=1)
+        if bad.any():
+            break
+    else:
         return None
-    line = int(bad.argmax())
+    line = lo + int(bad.argmax())
     entries = lines[line].tolist()
     first = {}
     pos = next(i for i, v in enumerate(entries) if first.setdefault(v, i) != i)

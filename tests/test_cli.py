@@ -326,6 +326,27 @@ GOLDEN_COMMANDS = {
     "eca_orbits_ledrappier321_cyclic3.tsv": ("eca", "orbits",
                                              "{fx}/ledrappier321.rule",
                                              "{fx}/cyclic3.group"),
+    "mu_eval_example11_c2.tsv": ("mu", "eval", "{fx}/example11_c2.measure",
+                                 "(0,i) (0,j)"),
+    "mu_conditional_example11_c2.tsv": ("mu", "conditional",
+                                        "{fx}/example11_c2.measure",
+                                        "(0,i) (0,j)"),
+    "mu_support_example11_c2.tsv": ("mu", "support",
+                                    "{fx}/example11_c2.measure",
+                                    "--depth", "3"),
+    "mu_entropy_example11_c2.tsv": ("mu", "entropy",
+                                    "{fx}/example11_c2.measure",
+                                    "--depth", "4"),
+    "mu_fibers_example11_c2q.tsv": ("mu", "fibers", "@example11,2",
+                                    "{fx}/c2q.rule", "--depth", "3"),
+    "mu_invariance_example11_c2q.tsv": ("mu", "invariance", "@example11,2",
+                                        "--ca", "{fx}/c2q.rule",
+                                        "--depth", "4"),
+    "mu_example11_cyclic4.tsv": ("mu", "example11", "@cyclic,4",
+                                 "--depth", "3"),
+    "mu_cmeasure_example11_c2q.tsv": ("mu", "cmeasure", "@example11,2",
+                                      "@c2q", "--subgroup", "(0,1) (1,1)",
+                                      "--depth", "3"),
 }
 
 
@@ -349,6 +370,36 @@ def test_qg_sub_order_bound_exit_code(capsys):
                        f"@cyclic,{qg.CLOSURE_ORDER_BOUND + 1}")
     assert code == 3
     assert err == "bound exceeded: order 65 exceeds enumeration bound 64"
+
+
+def test_ca_orbit_periodic_state_bound_exit_code(capsys):
+    from qgca.automaton import PERIODIC_STATE_BOUND
+    assert PERIODIC_STATE_BOUND == 2 ** 20
+    code, out, _ = run(capsys, "ca", "orbit", "@cyclic,2", " ".join("0" * 20))
+    assert code == 0 and out.startswith("preperiod=")
+    code, out, err = run(capsys, "ca", "orbit", "@cyclic,2", " ".join("0" * 21))
+    assert (code, out) == (3, "")
+    assert err == "bound exceeded: 2^21 periodic states exceed bound 1048576"
+
+
+def test_eca_invsubspaces_enumeration_bound_exit_code(capsys):
+    assert mf.SUBSPACE_ENUMERATION_BOUND == 2 ** 20
+    code, out, err = run(capsys, "eca", "invsubspaces", "@identity,2,21")
+    assert (code, out) == (3, "")
+    assert err == "bound exceeded: 2^21 vectors exceed bound 1048576"
+
+
+def test_eca_hmax_associativity_check_bound_exit_code(capsys, monkeypatch,
+                                                      fixture_dir):
+    from qgca import groups
+    group = fixture_dir / "quaternion.group"
+    monkeypatch.setattr(groups, "ASSOCIATIVITY_CHECK_BOUND", 8)
+    code, out, _ = run(capsys, "eca", "hmax", group)
+    assert (code, out) == (0, "h_max=2")
+    monkeypatch.setattr(groups, "ASSOCIATIVITY_CHECK_BOUND", 7)
+    code, out, err = run(capsys, "eca", "hmax", group)
+    assert (code, out) == (3, "")
+    assert err == "bound exceeded: order 8 exceeds enumeration bound 7"
 
 
 def test_paper_suite_depth3(capsys):

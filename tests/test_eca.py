@@ -834,6 +834,23 @@ def test_linear_view_rejects_nonlinear():
     assert eca.linear_view(g2, (1, 0) + tuple(range(2, 9))) is None  # moves e
 
 
+def test_linear_view_rejects_a_matrix_that_misses_rho(monkeypatch):
+    """The matrix is re-checked against rho on every element: one built
+    wrong (here the zero matrix) gives no view."""
+    g, rule = eca.affine_matrix_system(mf.MatrixFp.from_rows(3, [[0, 2],
+                                                                 [2, 0]]))
+    rho = eca.kernel(rule, g).rho
+    assert eca.linear_view(g, rho) is not None
+
+    class ZeroMatrix:
+        @staticmethod
+        def from_rows(p, rows):
+            return mf.MatrixFp.from_rows(p, np.zeros_like(rows))
+
+    monkeypatch.setattr(eca, "MatrixFp", ZeroMatrix)
+    assert eca.linear_view(g, rho) is None
+
+
 def test_subspace_to_subgroup_is_closed():
     g, rule = eca.affine_matrix_system(
         mf.MatrixFp.from_rows(7, [[0, 0, 0, 1], [1, 0, 0, 1],

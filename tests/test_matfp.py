@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgca import matfp as mf
-from qgca.errors import BadParams, ParseError, TooLarge
+from qgca.errors import (BadParams, BoundError, ParseError, QgcaError,
+                         TooLarge)
 
 from oracles import snf_invariant_factors
 
@@ -63,6 +64,38 @@ def test_coprime_lcm_split(rng):
         assert mf.p_divmod(g, G, p)[1] == ()
         assert mf.p_deg(mf.p_gcd(F, G, p)) == 0
         assert mf.p_mul(F, G, p) == mf.p_lcm(f, g, p)
+
+
+def test_coprime_lcm_split_self_check(monkeypatch):
+    """The split is re-checked against lcm(f, g): against a wrong lcm,
+    here f * g for f = g = x + 1 over F_2, it raises."""
+    monkeypatch.setattr(mf, "p_lcm", mf.p_mul)
+    with pytest.raises(QgcaError, match="coprime lcm split failed"):
+        mf.coprime_lcm_split((1, 1), (1, 1), 2)
+
+
+def test_rcf_self_check_product(monkeypatch):
+    monkeypatch.setattr(mf, "char_poly", lambda m: (1,))
+    with pytest.raises(QgcaError, match="invariant factors do not multiply "
+                                        "to the characteristic polynomial"):
+        mf.rcf(mf.MatrixFp.identity(2, 2))
+
+
+def test_rcf_self_check_divisibility_chain(monkeypatch):
+    """A split that never merges two vectors keeps the first vector of each
+    round: on diag(0, 0, 1) over F_2 the factors come out x + 1, x, x, whose
+    product is still the characteristic polynomial."""
+    monkeypatch.setattr(mf, "coprime_lcm_split", lambda f, g, p: (f, (1,)))
+    with pytest.raises(QgcaError, match="invariant factors fail the "
+                                        "divisibility chain"):
+        mf.rcf(mf.MatrixFp.from_rows(2, [[0, 0, 0], [0, 0, 0], [0, 0, 1]]))
+
+
+def test_rcf_self_check_minimal_polynomial(monkeypatch):
+    monkeypatch.setattr(mf, "min_poly", mf.char_poly)
+    with pytest.raises(QgcaError, match="largest invariant factor is not "
+                                        "the minimal polynomial"):
+        mf.rcf(mf.MatrixFp.identity(2, 2))
 
 
 def test_p_str():
@@ -319,6 +352,32 @@ def test_invariant_subspaces_family_bound_from_eigenspace_count(monkeypatch):
     with pytest.raises(TooLarge, match="invariant subspace family exceeds "
                                        f"{mf.SUBSPACE_FAMILY_BOUND}"):
         mf.invariant_subspaces(mf.MatrixFp.identity(2, 10))
+
+
+def test_invariant_subspaces_self_check(monkeypatch):
+    """Every subspace the enumeration returns is re-checked for invariance:
+    span(e2) is not invariant under the Jordan block over F_2."""
+    monkeypatch.setattr(mf, "closed_sets", lambda *args: [((0, 1),)])
+    with pytest.raises(QgcaError, match="closed-set enumeration produced a "
+                                        "non-invariant subspace"):
+        mf.invariant_subspaces(mf.MatrixFp.from_rows(2, [[1, 1], [0, 1]]))
+
+
+def test_exhaustive_vector_bound():
+    assert mf.EXHAUSTIVE_VECTOR_BOUND == 2 ** 14
+    with pytest.raises(TooLarge) as exc:
+        mf.invariant_subspaces_exhaustive(mf.MatrixFp.identity(2, 15))
+    assert isinstance(exc.value, BoundError)           # exit code 3
+    assert str(exc.value) == "2^15 exceeds exhaustive bound 16384"
+
+
+def test_exhaustive_subspace_bound():
+    """F_2^14 is within the vector bound, but its subspaces are not."""
+    assert mf._gaussian_subspace_count(2, 14) > mf.EXHAUSTIVE_SUBSPACE_BOUND
+    with pytest.raises(TooLarge) as exc:
+        mf.invariant_subspaces_exhaustive(mf.MatrixFp.identity(2, 14))
+    assert isinstance(exc.value, BoundError)           # exit code 3
+    assert str(exc.value) == "too many subspaces for exhaustive enumeration"
 
 
 # ---------------------------------------------------------------------------

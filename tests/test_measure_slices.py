@@ -85,7 +85,7 @@ def test_nested_images_of_every_base_kind_match_the_oracle():
              mu.MarkovMeasure([F(1), F(0), F(0), F(0)],
                               [[F(0), F(1, 2), F(1, 2), F(0)]] * 4),
              mu.OrbitMeasure(4, [0, 3, 3, 1]), mu.ProductMeasure(c2, q),
-             mu.ProductMeasure(q, c2, [(1, 1), (0, 0), (1, 0), (0, 1)])]
+             mu.ProductMeasure(q, c2)]
     for base in bases:
         rule = random_bipermutative_rule(4, rng)
         for m in (mu.pushforward_ca(mu.pushforward_shift(base), rule),

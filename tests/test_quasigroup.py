@@ -252,6 +252,47 @@ def test_associativity_witness_memory():
     assert peak < 10 * 128 ** 2
 
 
+def _first_repeat_oracle(lines):
+    for line, entries in enumerate(lines.tolist()):
+        first = {}
+        for pos, v in enumerate(entries):
+            if first.setdefault(v, pos) != pos:
+                return line, first[v], pos
+    return None
+
+
+@pytest.mark.parametrize("m, n, bad", [
+    (100_000, 3, []),                   # 87,381 lines per block
+    (100_000, 3, [5]),
+    (100_000, 3, [90_001, 99_999]),     # past the first block
+    (100_000, 3, [99_999]),             # the last line only
+    (3, 2 ** 18 + 3, [1, 2]),           # one line per block
+])
+def test_first_repeat_blocks_keep_the_witness(m, n, bad):
+    rng = np.random.default_rng(m + n)
+    lines = (np.arange(n) + rng.integers(n, size=(m, 1))) % n
+    for line in bad:
+        i, j = sorted(rng.choice(n, 2, replace=False).tolist())
+        lines[line, j] = lines[line, i]
+    assert qg.first_repeat(lines) == _first_repeat_oracle(lines)
+    assert (qg.first_repeat(lines) is None) == (not bad)
+
+
+def test_bipermutativity_check_marks_hits_in_blocks():
+    """Checking the (Z/7)^4 rule holds one block of hits at a time, not an
+    n x n mask: its peak stays under 0.3 bytes per n^2 entry.  The rule is
+    built fresh, since the result is cached on it."""
+    rule = ca.from_quasigroup(gr.elementary_abelian_group(7, 4))
+    n = rule.alphabet_size
+    tracemalloc.start()
+    try:
+        assert ca.is_bipermutative(rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.3 * n ** 2
+
+
 def test_subquasigroups_d7_matches_oracle(d7):
     found = qg.subquasigroups(d7)
     assert found == [(0, 1), (2, 3)]
