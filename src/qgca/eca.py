@@ -45,8 +45,11 @@ def _check_alphabet(rule: LocalRule, g: GroupTable) -> None:
 
 def _first(mask_rows, n: int) -> tuple[int, int] | None:
     """Row-major (a, b) of the first True entry of an n x n mask, read one
-    row block at a time from mask_rows(rows), or None."""
-    for rows in row_blocks(n):
+    row block at a time from mask_rows(rows), or None.  Each mask gathers a
+    block twice, once by rows and once by columns, so the blocks hold about
+    2**17 entries: half the usual size keeps the gathers in cache and the
+    peak low."""
+    for rows in row_blocks(n, 2 ** 17):
         mask = mask_rows(rows)
         i = int(mask.argmax())
         if mask.flat[i]:
@@ -69,14 +72,14 @@ def _non_endomorphism(img: np.ndarray, g: GroupTable) -> tuple[int, int] | None:
     gt, s = g.table, list(g.generators)
     if np.array_equal(img[gt[s]], gt[img[s]][:, img]):
         return None
-    return _first(lambda r: img[gt[r]] != gt[np.ix_(img[r], img)], g.order)
+    return _first(lambda r: img[gt[r]] != gt[img[r]][:, img], g.order)
 
 
 def _affine_fault(t: np.ndarray, g: GroupTable, phi0: np.ndarray,
                   phi1: np.ndarray) -> tuple[str, tuple[int, ...]] | None:
     """("affine", (a, b)) for the first pair with t(a, b) != phi0(a).phi1(b),
     else ("phi0" or "phi1", witness) for a map that is no endomorphism."""
-    bad = _first(lambda r: t[r] != g.table[np.ix_(phi0[r], phi1)], g.order)
+    bad = _first(lambda r: t[r] != g.table[phi0[r]][:, phi1], g.order)
     if bad is not None:
         return "affine", bad
     for name, img in (("phi0", phi0), ("phi1", phi1)):
@@ -155,7 +158,7 @@ def _verify_endomorphic(rule: LocalRule, g: GroupTable) -> bool:
     s = list(g.generators)
     x, y = phi0[s], phi1[s]
     if not np.array_equal(gt[np.ix_(x, y)], gt[np.ix_(y, x)].T):
-        a, b = _first(lambda r: t[r] != gt[np.ix_(phi1, phi0[r])].T, n)
+        a, b = _first(lambda r: t[r] != gt[:, phi0[r]][phi1].T, n)
         raise NotEndomorphicCA((e, a, b, e))
     return _bijective(phi0) and _bijective(phi1)
 

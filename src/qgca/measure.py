@@ -16,6 +16,11 @@ onto the words of length d, so the chunks' images scatter-add into an
 array of all N**d codes, and a level that fits in one chunk is sorted and
 summed in one pass.  So no sweep holds or sorts a whole level d+1 of a
 base kind.
+
+A chunk's image is stepped j symbols per lookup, in the table of step on
+all words of length j+1; j follows from N and the chunk length, so that
+table stays far smaller than the chunk.  A fiber spectrum shares one
+Fraction among the entries of each distinct (numerator, row total).
 """
 from __future__ import annotations
 
@@ -34,7 +39,7 @@ from .errors import (AlphabetMismatch, AlphabetSizeMismatch, BadParams,
                      DepthTooLarge, NotASubgroup, NotBipermutative, ParseError,
                      WordTooShort, ZeroMassCondition)
 from .groups import GroupTable
-from .quasigroup import pack_digits, unpack_digits
+from .quasigroup import index_dtype, pack_digits, unpack_digits
 
 WORD_ENUMERATION_BOUND = 2 ** 20
 
@@ -127,19 +132,42 @@ def _pushed(parts: Sequence[Callable[[], Level]], depth: int,
     return Level(lv.alphabet_size, depth, codes, out[codes], lv.den)
 
 
+def _step_table(rule: LocalRule, j: int) -> np.ndarray:
+    """step on every length-(j+1) word, by code: the codes of the images,
+    which have j symbols.  For j = 1 this is the flat rule table."""
+    if j == 1:
+        return rule.table.ravel()
+    n = rule.alphabet_size
+    return _ca_image(rule, np.arange(n ** (j + 1)), j).astype(
+        index_dtype(n ** j))
+
+
 def _ca_image(rule: LocalRule, codes: np.ndarray, depth: int) -> np.ndarray:
     """Codes of step(w) for the length-(depth+1) words w coded by ``codes``.
-    Each pair of neighbouring symbols is read off the code as one base-N**2
-    digit and looked up in the flat table, so only a few arrays of
+
+    Each window of j+1 neighbouring symbols is read off the code as one
+    base-N**(j+1) digit and looked up in the step table of that length,
+    which gives j image symbols at once; the last depth mod j image symbols
+    come from a shorter window.  j grows with the number of codes, so the
+    table stays far smaller than they are, and only a few arrays of
     len(codes) are alive at once."""
-    n, flat = rule.alphabet_size, rule.table.ravel()
+    n = rule.alphabet_size
+    j = 1
+    while j + 1 < depth and n ** (j + 2) <= min(len(codes) // 16, 2 ** 12):
+        j += 1
     # image has the codes' dtype, int64 or object, so adding the narrow
     # table entries widens them and no step can overflow the table dtype
     image = np.zeros_like(codes)
-    for k in range(depth - 1, -1, -1):
-        pair = (codes // n ** k % (n * n)).astype(np.int64, copy=False)
-        image *= n
-        image += flat[pair]
+    table, tail = _step_table(rule, j), depth % j
+    for k in range(depth - j, tail - 1, -j):
+        window = codes // n ** k
+        window %= n ** (j + 1)
+        image *= n ** j
+        image += table[window.astype(np.int64, copy=False)]
+    if tail:
+        window = codes % n ** (tail + 1)
+        image *= n ** tail
+        image += _step_table(rule, tail)[window.astype(np.int64, copy=False)]
     return image
 
 
@@ -785,6 +813,8 @@ def fiber_spectrum(m: CylinderMeasure, rule: LocalRule, depth: int,
     totals = pushed.nums[picked].tolist()
     weights = [ZERO] * (n * len(totals))       # row by row
     support = np.zeros(len(totals), dtype=np.int64)
+    # one Fraction per distinct (numerator, row total), shared by its entries
+    distinct: dict[tuple[int, int], Fraction] = {}
     for part in parts:
         lv = part()
         at = row[np.searchsorted(pushed.codes,
@@ -794,7 +824,11 @@ def fiber_spectrum(m: CylinderMeasure, rule: LocalRule, depth: int,
         for i, a, num in zip(at[keep].tolist(),
                              (lv.codes[keep] // n ** depth).tolist(),
                              lv.nums[keep].tolist()):
-            weights[i * n + a] = Fraction(num, totals[i])
+            key = num, totals[i]
+            weight = distinct.get(key)
+            if weight is None:
+                weight = distinct[key] = Fraction(*key)
+            weights[i * n + a] = weight
     rows = [FiberRow(w, Fraction(t, pushed.den), c,
                      tuple(weights[i * n:(i + 1) * n]))
             for i, (w, t, c) in enumerate(zip(
@@ -806,7 +840,7 @@ def fiber_spectrum(m: CylinderMeasure, rule: LocalRule, depth: int,
         counts = Counter(r.support_count for r in rows)
         top = max(counts.values())
         k_est = min(k for k, c in counts.items() if c == top)
-        positive = {v for r in rows for v in r.weights if v > 0}
+        positive = {v for v in distinct.values() if v > 0}
         eta = positive.pop() if len(positive) == 1 else None
         inc = _combo_sub(_entropy_combo(part() for part in parts),
                          _entropy_combo([own]))

@@ -73,9 +73,10 @@ def index_dtype(n: int) -> np.dtype:
     return np.dtype(np.int16 if n <= 2 ** 15 else np.int32)
 
 
-def row_blocks(n: int):
-    """The row slices of an n x n table, about 2**18 entries each, in order."""
-    step = max(1, 2 ** 18 // n)
+def row_blocks(n: int, size: int = 2 ** 18):
+    """The row slices of an n x n table, about ``size`` entries each, in
+    order."""
+    step = max(1, size // n)
     return (slice(r, r + step) for r in range(0, n, step))
 
 
@@ -126,9 +127,12 @@ def validate_latin(table, symbols: Sequence[str] | None = None) -> Quasigroup:
     """Validate an N x N index table as a Latin square and wrap it.
 
     Reports the first offending entry, row, or column: entries must lie in
-    0..N-1, and every row and column must be a permutation.
+    0..N-1, and every row and column must be a permutation.  An integer
+    ndarray is checked in its own dtype, one row block at a time, and is
+    kept as the table when it is read-only in the index dtype already.
     """
-    arr = np.asarray(table, dtype=np.int64)
+    native = isinstance(table, np.ndarray) and table.dtype.kind in "iu"
+    arr = np.asarray(table) if native else np.asarray(table, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ParseError(f"table must be square and nonempty, got shape {arr.shape}")
     n = arr.shape[0]
@@ -138,16 +142,21 @@ def validate_latin(table, symbols: Sequence[str] | None = None) -> Quasigroup:
     if len(set(symbols)) != n:
         raise ParseError("symbol names must be distinct")
 
-    bad = np.argwhere((arr < 0) | (arr >= n))
-    if bad.size:
-        r, c = (int(v) for v in bad[0])
-        raise BadEntry(r, c)
+    for rows in row_blocks(n):
+        bad = arr[rows] < 0
+        bad |= arr[rows] >= n
+        i = int(bad.argmax())
+        if bad.flat[i]:
+            raise BadEntry(*divmod(rows.start * n + i, n))
     repeat = first_repeat(arr)
     if repeat:
         raise DuplicateInRow(*repeat)
     repeat = first_repeat(arr.T)
     if repeat:
         raise DuplicateInColumn(*repeat)
+    if native and arr.flags.writeable:
+        # a copy, so that freezing the table leaves the caller's array as is
+        arr = arr.astype(index_dtype(n), order="C")
     return Quasigroup(symbols, freeze_table(arr))
 
 

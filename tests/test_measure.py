@@ -12,6 +12,7 @@ from qgca.errors import (AlphabetMismatch, BadParams, DepthTooLarge,
 from qgca.groups import cyclic_group, from_quasigroup as to_group, group_product, quaternion_group
 from qgca.suite import random_bipermutative_rule
 
+import oracles
 from oracles import pushforward_bruteforce
 
 QUAT_IJK = (2, 4, 6)
@@ -342,6 +343,31 @@ def test_fiber_spectrum_mass_floor(quat):
     rep = mu.fiber_spectrum(orbit_ijk(), rule, 3, mass_floor=F(1, 2))
     assert rep.rows == ()
     assert rep.K_estimate == 0
+
+
+def test_fiber_weights_are_shared_by_value_not_by_numerator():
+    """fiber_spectrum makes one Fraction per distinct (numerator, row
+    total): equal weights of different pairs give one eta, and a numerator
+    shared by two totals keeps two weights."""
+    xor = ca.from_quasigroup(qg.builtin("ledrappier", [2, 1, 1]))
+    # a word and its complement have equal mass: every weight is 1/2, over
+    # row totals that differ
+    flip = mu.MarkovMeasure([F(1, 2), F(1, 2)],
+                            [[F(1, 3), F(2, 3)], [F(2, 3), F(1, 3)]])
+    rep = mu.fiber_spectrum(flip, xor, 2)
+    assert len({r.total_mass for r in rep.rows}) > 1
+    assert rep.eta_constant == F(1, 2)
+    # masses 1/6 (00), 1/6 (01), 1/6 (10), 1/2 (11): over totals 2/3 and
+    # 1/3 the shared mass 1/6 weighs 1/4 and 1/2
+    chain = mu.MarkovMeasure([F(1, 3), F(2, 3)],
+                             [[F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]])
+    rep = mu.fiber_spectrum(chain, xor, 1)
+    assert [r.weights for r in rep.rows] \
+        == [(F(1, 4), F(3, 4)), (F(1, 2), F(1, 2))]
+    assert rep.eta_constant is None
+    for m, depth in ((flip, 2), (chain, 1), (chain, 3)):
+        assert mu.fiber_spectrum(m, xor, depth).rows \
+            == oracles.fiber_spectrum(m, xor, depth).rows
 
 
 def test_support_alphabet_example11():

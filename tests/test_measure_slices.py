@@ -130,6 +130,54 @@ def test_sliced_levels_widen_to_python_ints_past_int64():
     assert len(chain._slices(5)) == len(orbit._slices(40)) == 1
 
 
+def stepped_codes(rule, codes, depth, at):
+    """The code of step(w) for the word w of each code codes[i], i in
+    ``at``: decoded digit by digit, stepped by the automaton, re-encoded."""
+    n, out = rule.alphabet_size, []
+    for code in codes[at].tolist():
+        word = []
+        for _ in range(depth + 1):
+            code, digit = divmod(code, n)
+            word.append(digit)
+        image = 0
+        for s in ca.step(rule, word[::-1]):
+            image = image * n + s
+        out.append(image)
+    return out
+
+
+@settings(max_examples=150)
+@given(data=st.data(), n=st.integers(2, 9), depth=st.integers(1, 9))
+def test_ca_image_matches_step_on_decoded_words(data, n, depth):
+    """The windowed image of a run of codes, which may start anywhere and be
+    long enough for wide windows, against the automaton's own step."""
+    rule = data.draw(rules(n))
+    count = min(n ** (depth + 1),
+                data.draw(st.integers(0, 17).flatmap(
+                    lambda e: st.integers(1, 2 ** e))))
+    start = data.draw(st.integers(0, n ** (depth + 1) - count))
+    codes = np.arange(start, start + count)
+    image = mu._ca_image(rule, codes, depth)
+    at = sorted({0, count - 1, *data.draw(st.lists(
+        st.integers(0, count - 1), max_size=40))})
+    assert image.dtype == codes.dtype and len(image) == count
+    assert image[at].tolist() == stepped_codes(rule, codes, depth, at)
+
+
+def test_ca_image_of_python_int_codes_matches_step():
+    """Codes past 2**63 are Python ints; enough of them for two-symbol
+    windows, with and without a one-symbol tail."""
+    rule = random_bipermutative_rule(16, random.Random(16))
+    for depth in (15, 16):
+        count = 2 ** 16 + 5
+        start = 16 ** (depth + 1) - count - 12345
+        codes = np.arange(count).astype(object) + start
+        image = mu._ca_image(rule, codes, depth)
+        at = [0, 1, count - 1, *range(2, count, 997)]
+        assert image.dtype == object
+        assert image[at].tolist() == stepped_codes(rule, codes, depth, at)
+
+
 def traced_peak(fn, *args):
     """The result of a call and the peak of its traced allocations."""
     tracemalloc.start()

@@ -252,6 +252,47 @@ def test_associativity_witness_memory():
     assert peak < 10 * 128 ** 2
 
 
+def test_validate_latin_checks_a_table_in_its_own_dtype():
+    """The (Z/7)^4 group table, int16 and read-only, is validated and kept
+    without a copy: the range and Latin checks run in row blocks, under 1.5
+    bytes per n^2 entry (an int64 copy alone is 8)."""
+    table = gr.elementary_abelian_group(7, 4).table
+    tracemalloc.start()
+    try:
+        q = qg.validate_latin(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2401 ** 2
+    assert q.table is table
+
+
+def test_validate_latin_leaves_a_writable_array_alone():
+    table = np.array(D7_ROWS, dtype=np.int16)
+    q = qg.validate_latin(table)
+    assert table.flags.writeable and not np.shares_memory(q.table, table)
+    assert q.rows == D7_ROWS
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.uint16, np.int32, np.uint64])
+def test_validate_latin_keeps_the_witness_in_every_dtype(dtype):
+    """An out-of-range entry past the first row block is found in the
+    array's own dtype, before the row and column scans."""
+    n = 600                                # 436 rows per block
+    table = (np.arange(n)[:, None] + np.arange(n)) % n
+    table[500, 7], table[520, 3] = n, n + 1
+    table[0, 0] = table[0, 1]              # a row repeat, reported later
+    first = (500, 7)
+    if np.dtype(dtype).kind == "i":
+        table[480, 5] = -1
+        first = (480, 5)
+    with pytest.raises(BadEntry) as exc:
+        qg.validate_latin(table.astype(dtype))
+    assert (exc.value.row, exc.value.col) == first
+    assert latin_fault(qg.validate_latin, table.astype(dtype)) \
+        == latin_fault(oracles.latin_check, table)
+
+
 def _first_repeat_oracle(lines):
     for line, entries in enumerate(lines.tolist()):
         first = {}
