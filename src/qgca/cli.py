@@ -6,6 +6,13 @@ Verbs are grouped by module: ``qg`` (tables), ``ca`` (rules and words),
 naming built-ins (see fixtures).  Reports are TSV with a header row;
 rationals print as p/q and floats with 12 significant digits.
 
+Every verb is one row of ``_VERBS``: its group, name, handler, arguments
+and common options (``--out``, ``--depth``, ``--mass-floor``), in the order
+the choices are listed.  ``build_parser(argv)`` builds only the parsers on
+the path ``argv`` names (the top parser, the group's, the verb's); help,
+usage and error output are the same as from the full parser, which it
+builds when ``argv`` names no verb.
+
 Exit codes: 0 success, 1 analysis failure or falsification, 2 bad input,
 3 resource bound exceeded.
 """
@@ -20,7 +27,8 @@ from . import eca as eca_mod
 from . import matfp
 from . import measure as mu
 from . import quasigroup as qg
-from .errors import AnalysisError, BoundError, InputError, ParseError
+from .errors import (AnalysisError, BadParams, BoundError, InputError,
+                     ParseError)
 from .fixtures import (export_fixtures, resolve_group, resolve_matrix,
                        resolve_measure, resolve_rule, resolve_table)
 from .measure import format_fraction, parse_fraction
@@ -91,6 +99,8 @@ def _cmd_qg_sub(args) -> int:
 # ca
 
 def _cmd_ca_step(args) -> int:
+    if args.times < 0:
+        raise BadParams(f"--times must be nonnegative, got {args.times}")
     rule, symbols = resolve_rule(args.rule)
     w = _parse_word(args.word, symbols, rule.alphabet_size)
     for _ in range(args.times):
@@ -405,154 +415,123 @@ def _cmd_export_fixtures(args) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
+_HELP = {"qg": "quasigroup tables", "ca": "rules and words",
+         "mu": "cylinder measures", "eca": "endomorphic-CA analysis",
+         "paper-suite": "run every acceptance scenario",
+         "export-fixtures": "write the builtin example files"}
+
+# One row per verb, in choice order: (group, or None for a top-level verb;
+# verb; handler; arguments; _add_common options, or None for none).  An
+# argument is a bare positional name or (name or flag, add_argument keywords).
+_VERBS = (
+    ("qg", "validate", _cmd_qg_validate, ("table",), {}),
+    ("qg", "dual", _cmd_qg_dual, ("table",), {}),
+    ("qg", "sub", _cmd_qg_sub,
+     ("table", ("--include-trivial", dict(action="store_true"))), {}),
+    ("ca", "step", _cmd_ca_step,
+     ("rule", "word", ("--times", dict(type=int, default=1))), {}),
+    ("ca", "orbit", _cmd_ca_orbit, ("rule", "word"), {}),
+    ("ca", "fiber", _cmd_ca_fiber, ("rule", "word"), {}),
+    ("ca", "xi", _cmd_ca_xi,
+     ("rule", "word", ("--inverse", dict(action="store_true"))), {}),
+    ("ca", "dual", _cmd_ca_dual, ("rule",), {}),
+    ("ca", "recode", _cmd_ca_recode,
+     ("rule", ("word", dict(nargs="?", default=None))), {}),
+    ("mu", "eval", _cmd_mu_eval, ("measure", "word"), {}),
+    ("mu", "invariance", _cmd_mu_invariance,
+     ("measure", ("--ca", dict(default=None, metavar="RULE"))), dict(depth=4)),
+    ("mu", "entropy", _cmd_mu_entropy, ("measure",), dict(depth=5)),
+    ("mu", "conditional", _cmd_mu_conditional, ("measure", "word"), {}),
+    ("mu", "cmeasure", _cmd_mu_cmeasure,
+     ("measure", "group", ("--subgroup", dict(
+         required=True,
+         help="subgroup members, space-separated names or indices"))),
+     dict(depth=4, mass_floor=True)),
+    ("mu", "fibers", _cmd_mu_fibers, ("measure", "rule"),
+     dict(depth=3, mass_floor=True)),
+    ("mu", "support", _cmd_mu_support, ("measure",), dict(depth=3)),
+    ("mu", "example11", _cmd_mu_example11,
+     (("group", dict(help="the factor group C (file or @spec)")),),
+     dict(depth=4)),
+    ("eca", "decompose", _cmd_eca_decompose, ("rule", "group"), {}),
+    ("eca", "kernel", _cmd_eca_kernel, ("rule", "group"), {}),
+    ("eca", "orbits", _cmd_eca_orbits, ("rule", "group"), {}),
+    ("eca", "audit", _cmd_eca_audit, ("rule", "group"), {}),
+    ("eca", "hmax", _cmd_eca_hmax, ("group",), {}),
+    ("eca", "charpoly", _cmd_eca_charpoly, ("matrix",), {}),
+    ("eca", "rcf", _cmd_eca_rcf, ("matrix",), {}),
+    ("eca", "invsubspaces", _cmd_eca_invsubspaces, ("matrix",), {}),
+    ("eca", "invsubgroups", _cmd_eca_invsubgroups,
+     ("group", ("--rule", dict(default=None,
+                               help="derive rho from this rule's kernel"))),
+     {}),
+    (None, "paper-suite", _cmd_paper_suite,
+     (("--depth", dict(type=int, default=None)),
+      ("--seed", dict(type=int, default=0)), ("--out", dict(default=None))),
+     None),
+    (None, "export-fixtures", _cmd_export_fixtures, ("directory",), None),
+)
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return parse_fraction(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_common(p: argparse.ArgumentParser, *, depth: int | None = None,
                 mass_floor: bool = False) -> None:
     p.add_argument("--out", default=None, help="write the report to a file")
     if depth is not None:
         p.add_argument("--depth", type=int, default=depth)
     if mass_floor:
-        p.add_argument("--mass-floor", type=parse_fraction,
-                       default=Fraction(0), dest="mass_floor",
-                       metavar="P/Q")
+        p.add_argument("--mass-floor", type=_rational, default=Fraction(0),
+                       dest="mass_floor", metavar="P/Q")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _path(row) -> list[str]:
+    return [row[0], row[1]] if row[0] else [row[1]]
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The ``qgca`` parser.  If ``argv`` starts with a verb's path (``GROUP
+    VERB``, or a top-level verb), only the parsers on that path are built;
+    otherwise (``qgca``, ``qgca --help``, ``qgca mu bogus``) all of them."""
+    head = list(argv or ())[:2]
+    rows = [r for r in _VERBS if head[:len(_path(r))] == _path(r)] or _VERBS
     top = argparse.ArgumentParser(
         prog="qgca",
         description="exact quasigroup-CA, cylinder-measure, and "
                     "endomorphic-CA analysis")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    qg_p = sub.add_parser("qg", help="quasigroup tables").add_subparsers(
-        dest="verb", required=True)
-    p = qg_p.add_parser("validate")
-    p.add_argument("table")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_qg_validate)
-    p = qg_p.add_parser("dual")
-    p.add_argument("table")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_qg_dual)
-    p = qg_p.add_parser("sub")
-    p.add_argument("table")
-    p.add_argument("--include-trivial", action="store_true")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_qg_sub)
-
-    ca_p = sub.add_parser("ca", help="rules and words").add_subparsers(
-        dest="verb", required=True)
-    p = ca_p.add_parser("step")
-    p.add_argument("rule")
-    p.add_argument("word")
-    p.add_argument("--times", type=int, default=1)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_ca_step)
-    p = ca_p.add_parser("orbit")
-    p.add_argument("rule")
-    p.add_argument("word")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_ca_orbit)
-    p = ca_p.add_parser("fiber")
-    p.add_argument("rule")
-    p.add_argument("word")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_ca_fiber)
-    p = ca_p.add_parser("xi")
-    p.add_argument("rule")
-    p.add_argument("word")
-    p.add_argument("--inverse", action="store_true")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_ca_xi)
-    p = ca_p.add_parser("dual")
-    p.add_argument("rule")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_ca_dual)
-    p = ca_p.add_parser("recode")
-    p.add_argument("rule")
-    p.add_argument("word", nargs="?", default=None)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_ca_recode)
-
-    mu_p = sub.add_parser("mu", help="cylinder measures").add_subparsers(
-        dest="verb", required=True)
-    p = mu_p.add_parser("eval")
-    p.add_argument("measure")
-    p.add_argument("word")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_mu_eval)
-    p = mu_p.add_parser("invariance")
-    p.add_argument("measure")
-    p.add_argument("--ca", default=None, metavar="RULE")
-    _add_common(p, depth=4)
-    p.set_defaults(fn=_cmd_mu_invariance)
-    p = mu_p.add_parser("entropy")
-    p.add_argument("measure")
-    _add_common(p, depth=5)
-    p.set_defaults(fn=_cmd_mu_entropy)
-    p = mu_p.add_parser("conditional")
-    p.add_argument("measure")
-    p.add_argument("word")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_mu_conditional)
-    p = mu_p.add_parser("cmeasure")
-    p.add_argument("measure")
-    p.add_argument("group")
-    p.add_argument("--subgroup", required=True,
-                   help="subgroup members, space-separated names or indices")
-    _add_common(p, depth=4, mass_floor=True)
-    p.set_defaults(fn=_cmd_mu_cmeasure)
-    p = mu_p.add_parser("fibers")
-    p.add_argument("measure")
-    p.add_argument("rule")
-    _add_common(p, depth=3, mass_floor=True)
-    p.set_defaults(fn=_cmd_mu_fibers)
-    p = mu_p.add_parser("support")
-    p.add_argument("measure")
-    _add_common(p, depth=3)
-    p.set_defaults(fn=_cmd_mu_support)
-    p = mu_p.add_parser("example11")
-    p.add_argument("group", help="the factor group C (file or @spec)")
-    _add_common(p, depth=4)
-    p.set_defaults(fn=_cmd_mu_example11)
-
-    eca_p = sub.add_parser("eca", help="endomorphic-CA analysis").add_subparsers(
-        dest="verb", required=True)
-    for verb, fn, needs in (
-            ("decompose", _cmd_eca_decompose, ("rule", "group")),
-            ("kernel", _cmd_eca_kernel, ("rule", "group")),
-            ("orbits", _cmd_eca_orbits, ("rule", "group")),
-            ("audit", _cmd_eca_audit, ("rule", "group")),
-            ("hmax", _cmd_eca_hmax, ("group",)),
-            ("charpoly", _cmd_eca_charpoly, ("matrix",)),
-            ("rcf", _cmd_eca_rcf, ("matrix",)),
-            ("invsubspaces", _cmd_eca_invsubspaces, ("matrix",))):
-        p = eca_p.add_parser(verb)
-        for arg in needs:
-            p.add_argument(arg)
-        _add_common(p)
+    # A one-path build names every command in its usage line, as the full
+    # build does; the full build keeps the default metavar, so that a
+    # missing command is reported as 'command'.
+    sub = top.add_subparsers(
+        dest="command", required=True,
+        metavar=None if rows is _VERBS else "{" + ",".join(_HELP) + "}")
+    groups = {}
+    for group, verb, fn, arguments, common in rows:
+        if group is None:
+            p = sub.add_parser(verb, help=_HELP[verb])
+        else:
+            if group not in groups:
+                groups[group] = sub.add_parser(
+                    group, help=_HELP[group]).add_subparsers(
+                    dest="verb", required=True)
+            p = groups[group].add_parser(verb)
+        for arg in arguments:
+            name, kwargs = (arg, {}) if isinstance(arg, str) else arg
+            p.add_argument(name, **kwargs)
+        if common is not None:
+            _add_common(p, **common)
         p.set_defaults(fn=fn)
-    p = eca_p.add_parser("invsubgroups")
-    p.add_argument("group")
-    p.add_argument("--rule", default=None,
-                   help="derive rho from this rule's kernel")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_eca_invsubgroups)
-
-    p = sub.add_parser("paper-suite", help="run every acceptance scenario")
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_paper_suite)
-
-    p = sub.add_parser("export-fixtures", help="write the builtin example files")
-    p.add_argument("directory")
-    p.set_defaults(fn=_cmd_export_fixtures)
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.fn(args)
     except InputError as exc:

@@ -1,3 +1,6 @@
+import argparse
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -98,6 +101,21 @@ def test_ca_step_names(capsys):
     assert code == 0 and out == "k i j k i"
 
 
+@pytest.mark.parametrize("times, expected", [("0", "i j k i j k"),
+                                              ("2", "j k i j")])
+def test_ca_step_times(capsys, times, expected):
+    code, out, _ = run(capsys, "ca", "step", "@quaternion", "i j k i j k",
+                       "--times", times)
+    assert (code, out) == (0, expected)
+
+
+def test_ca_step_negative_times_is_bad_input(capsys):
+    code, out, err = run(capsys, "ca", "step", "@quaternion", "i j k",
+                         "--times", "-1")
+    assert (code, out) == (2, "")
+    assert err == "input error: --times must be nonnegative, got -1"
+
+
 def test_ca_fiber(capsys):
     code, out, _ = run(capsys, "ca", "fiber", "@xor", "1 0")
     assert code == 0
@@ -196,6 +214,26 @@ def test_mu_fibers(capsys, fixture_dir):
                        fixture_dir / "c2q.rule", "--depth", "3")
     assert code == 0
     assert "K_estimate=2 eta=1/2 entropy_check=0" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("mu", "fibers", "@uniform,2", "@xor"),
+    ("mu", "cmeasure", "@uniform,2", "@cyclic,2", "--subgroup", "0"),
+])
+@pytest.mark.parametrize("floor", ["abc", "1/0"])
+def test_bad_mass_floor_is_a_usage_error(capsys, argv, floor):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--mass-floor", floor])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.startswith(f"usage: qgca mu {argv[1]} ")
+    assert captured.err.endswith(
+        f"error: argument --mass-floor: bad rational {floor!r}\n")
+
+
+def test_mass_floor_parses_to_a_fraction():
+    argv = ["mu", "fibers", "@uniform,2", "@xor", "--mass-floor", "1/3"]
+    assert cli.build_parser(argv).parse_args(argv).mass_floor == Fraction(1, 3)
 
 
 def test_mu_support(capsys):
@@ -478,3 +516,116 @@ def test_paper_suite_rejects_a_depth_below_one(capsys, monkeypatch, depth):
     for call in (suite.paper_suite, suite.criterion_3):
         with pytest.raises(BadParams, match="depth must be at least 1"):
             call(int(depth), 0)
+
+
+# ---------------------------------------------------------------------------
+# one-path parser builds
+
+def _parse_outcome(capsys, parser, argv):
+    try:
+        result = ("namespace", vars(parser.parse_args(argv)))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+def _argv_cases(row):
+    """A valid argv for the verb of ``row``, then --help, a bad --depth
+    value, an unrecognized argument and, if the verb takes one, a missing
+    positional."""
+    path = cli._path(row)
+    valid, positional = list(path), False
+    for arg in row[3]:
+        name, kwargs = (arg, {}) if isinstance(arg, str) else arg
+        if not name.startswith("-"):
+            valid.append(f"<{name}>")
+            positional = True
+        elif kwargs.get("required"):
+            valid += [name, "<value>"]
+    cases = [valid, path + ["--help"], valid + ["--depth", "x"],
+             valid + ["--no-such-option"]]
+    return cases + [path] if positional else cases
+
+
+@pytest.mark.parametrize("row", cli._VERBS,
+                         ids=lambda r: " ".join(cli._path(r)))
+def test_one_path_parser_matches_the_full_parser(capsys, monkeypatch, row):
+    monkeypatch.setenv("COLUMNS", "80")
+    outcomes = []
+    for argv in _argv_cases(row):
+        one = _parse_outcome(capsys, cli.build_parser(argv), argv)
+        assert one == _parse_outcome(capsys, cli.build_parser(), argv), argv
+        outcomes.append(one[0])
+    assert outcomes[0][1]["fn"] is row[2]
+    assert outcomes[1:] == [("exit", 0)] + [("exit", 2)] * (len(outcomes) - 2)
+
+
+def _parsers_built(monkeypatch, build):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(argparse.ArgumentParser, "__init__", counting)
+        return built, build()
+
+
+@pytest.mark.parametrize("argv, progs", [
+    (["mu", "invariance", "@uniform,2", "--depth", "3"],
+     ["qgca", "qgca mu", "qgca mu invariance"]),
+    (["paper-suite", "--depth", "3"], ["qgca", "qgca paper-suite"]),
+    (["export-fixtures"], ["qgca", "qgca export-fixtures"]),
+])
+def test_a_named_verb_builds_only_its_path(monkeypatch, argv, progs):
+    built, _ = _parsers_built(monkeypatch, lambda: cli.build_parser(argv))
+    assert built == progs
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["mu"], ["mu", "--help"],
+                                  ["mu", "bogus"], ["bogus", "invariance"]])
+def test_anything_else_builds_every_parser(monkeypatch, argv):
+    built, _ = _parsers_built(monkeypatch, lambda: cli.build_parser(argv))
+    assert len(built) == 1 + 4 + len(cli._VERBS)
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["qgca", "mu", "invariance",
+                                      "@uniform,2", "--depth", "3"])
+    built, code = _parsers_built(monkeypatch, lambda: cli.main(None))
+    assert built == ["qgca", "qgca mu", "qgca mu invariance"]
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "transform=shift depth=3 max_dev=0/1 worst=-\n")
+
+
+def test_help_lists_every_group_and_verb(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    for argv in (["--help"], ["mu", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "usage: qgca [-h] {qg,ca,mu,eca,paper-suite,export-fixtures} ..." \
+        in out
+    for name, help_text in (
+            ("qg", "quasigroup tables"), ("ca", "rules and words"),
+            ("mu", "cylinder measures"), ("eca", "endomorphic-CA analysis"),
+            ("paper-suite", "run every acceptance scenario"),
+            ("export-fixtures", "write the builtin example files")):
+        assert any(line.split() == [name, *help_text.split()]
+                   for line in out.splitlines()), name
+    assert ("usage: qgca mu [-h] {eval,invariance,entropy,conditional,"
+            "cmeasure,fibers,support,example11} ...") in out
+
+
+def test_no_command_names_the_missing_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "usage: qgca [-h] {qg,ca,mu,eca,paper-suite,export-fixtures} ...\n"
+        "qgca: error: the following arguments are required: command\n")
