@@ -43,13 +43,16 @@ def _check_alphabet(rule: LocalRule, g: GroupTable) -> None:
                                    "group", g.order)
 
 
+_BLOCK = 2 ** 17
+
+
 def _first(mask_rows, n: int) -> tuple[int, int] | None:
     """Row-major (a, b) of the first True entry of an n x n mask, read one
     row block at a time from mask_rows(rows), or None.  Each mask gathers a
     block twice, once by rows and once by columns, so the blocks hold about
     2**17 entries: half the usual size keeps the gathers in cache and the
     peak low."""
-    for rows in row_blocks(n, 2 ** 17):
+    for rows in row_blocks(n, _BLOCK):
         mask = mask_rows(rows)
         i = int(mask.argmax())
         if mask.flat[i]:
@@ -72,14 +75,21 @@ def _non_endomorphism(img: np.ndarray, g: GroupTable) -> tuple[int, int] | None:
     gt, s = g.table, list(g.generators)
     if np.array_equal(img[gt[s]], gt[img[s]][:, img]):
         return None
-    return _first(lambda r: img[gt[r]] != gt[img[r]][:, img], g.order)
+    cols = img.astype(np.intp)
+    return _first(lambda r: img[gt[r]] != np.take(gt[img[r]], cols, axis=1),
+                  g.order)
 
 
 def _affine_fault(t: np.ndarray, g: GroupTable, phi0: np.ndarray,
                   phi1: np.ndarray) -> tuple[str, tuple[int, ...]] | None:
     """("affine", (a, b)) for the first pair with t(a, b) != phi0(a).phi1(b),
-    else ("phi0" or "phi1", witness) for a map that is no endomorphism."""
-    bad = _first(lambda r: t[r] != g.table[phi0[r]][:, phi1], g.order)
+    else ("phi0" or "phi1", witness) for a map that is no endomorphism.
+
+    Each block gathers the rows phi0(a) of the group table, then takes the
+    columns phi1 along axis 1, with intp indices converted once per call."""
+    cols = phi1.astype(np.intp)
+    bad = _first(lambda r: t[r] != np.take(g.table[phi0[r]], cols, axis=1),
+                 g.order)
     if bad is not None:
         return "affine", bad
     for name, img in (("phi0", phi0), ("phi1", phi1)):
@@ -158,7 +168,11 @@ def _verify_endomorphic(rule: LocalRule, g: GroupTable) -> bool:
     s = list(g.generators)
     x, y = phi0[s], phi1[s]
     if not np.array_equal(gt[np.ix_(x, y)], gt[np.ix_(y, x)].T):
-        a, b = _first(lambda r: t[r] != gt[:, phi0[r]][phi1].T, n)
+        # phi1(b).phi0(a) for the rows a in r: the columns phi0(a) first,
+        # then every row phi1(b), so each take holds one block
+        cols, rows = phi0.astype(np.intp), phi1.astype(np.intp)
+        a, b = _first(lambda r: t[r] != np.take(
+            np.take(gt, cols[r], axis=1), rows, axis=0).T, n)
         raise NotEndomorphicCA((e, a, b, e))
     return _bijective(phi0) and _bijective(phi1)
 
@@ -374,7 +388,10 @@ def subspace_to_subgroup(view: LinearView, basis_rows) -> tuple[int, ...]:
 def affine_matrix_system(m0: MatrixFp, m1: MatrixFp | None = None
                          ) -> tuple[GroupTable, LocalRule]:
     """The product group (Z/p)^k with the rule phi(a, b) = M0 a + M1 b
-    (M1 defaults to the identity)."""
+    (M1 defaults to the identity).
+
+    The rule table is filled in place, one block of about 2**17 entries at
+    a time: the group rows M0 a, then an axis-1 take of the columns M1 b."""
     p, k = m0.p, m0.n
     if m1 is None:
         m1 = MatrixFp.identity(p, k)
@@ -387,7 +404,11 @@ def affine_matrix_system(m0: MatrixFp, m1: MatrixFp | None = None
         return pack_digits(p, [sum(c * d for c, d in zip(row, digits))
                                for row in mat.rows])
 
-    return g, make_rule(g.order, 0, 1, g.table[np.ix_(images(m0), images(m1))])
+    rows, cols = images(m0), images(m1).astype(np.intp)
+    table = np.empty_like(g.table)
+    for r in row_blocks(g.order, _BLOCK):
+        np.take(g.table[rows[r]], cols, axis=1, out=table[r])
+    return g, make_rule(g.order, 0, 1, table)
 
 
 # ---------------------------------------------------------------------------

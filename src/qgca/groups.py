@@ -71,18 +71,23 @@ class GroupTable(Quasigroup):
 
 
 def _finish(q: Quasigroup, *, check_associativity: bool) -> GroupTable:
+    """Verify q as a group: a two-sided identity, associativity (when asked)
+    and two-sided inverses.
+
+    A two-sided identity e is idempotent (e.e = e), so only the diagonal's
+    fixed points are candidates; each is accepted when its row and its
+    column are both the identity map.  That reads N entries per idempotent,
+    not the whole table.  There is at most one, since a left identity e and
+    a right identity e' give e = e.e' = e'.
+    """
     t = q.table
     n = q.order
-    idx = np.arange(n)
-    row_id = np.zeros(n, dtype=bool)        # a.b = b for every b
-    col_id = np.ones(n, dtype=bool)         # a.b = a for every a
-    for r in row_blocks(n):
-        row_id[r] = (t[r] == idx).all(axis=1)
-        col_id &= (t[r] == idx[r, None]).all(axis=0)
-    both = np.flatnonzero(row_id & col_id)
-    if both.size != 1:
+    idx = np.arange(n, dtype=t.dtype)
+    e = next((int(a) for a in np.flatnonzero(t.diagonal() == idx)
+              if np.array_equal(t[a], idx) and np.array_equal(t[:, a], idx)),
+             None)
+    if e is None:
         raise NotAGroup("no two-sided identity")
-    e = int(both[0])
     if check_associativity:
         if n > ASSOCIATIVITY_CHECK_BOUND:
             raise OrderTooLarge(n, ASSOCIATIVITY_CHECK_BOUND)
@@ -92,8 +97,9 @@ def _finish(q: Quasigroup, *, check_associativity: bool) -> GroupTable:
                 # (a.b).c against a.(b.c), for the rows a in r
                 if not np.array_equal(right[t[r]], t[r][:, right]):
                     raise NotAGroup(f"associativity fails at third factor {c}")
-    inv = np.concatenate([np.argmax(t[r] == e, axis=1)
-                          for r in row_blocks(n)])
+    inv = np.empty_like(idx)
+    for r in row_blocks(n):
+        inv[r] = np.argmax(t[r] == e, axis=1)
     if not (np.array_equal(t[idx, inv], np.full(n, e))
             and np.array_equal(t[inv, idx], np.full(n, e))):
         raise NotAGroup("inverses are not two-sided")

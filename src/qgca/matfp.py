@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BadParams, ParseError, QgcaError, TooLarge
-from .quasigroup import closed_sets, is_prime
+from .quasigroup import closed_sets, is_prime, unpack_digits
 
 SUBSPACE_ENUMERATION_BOUND = 2 ** 20
 SUBSPACE_FAMILY_BOUND = 20000
@@ -406,14 +406,79 @@ def rcf(m: MatrixFp) -> RcfResult:
 # ---------------------------------------------------------------------------
 # invariant subspaces
 
-def cyclic_subspace(m: MatrixFp, v: Vec) -> tuple[Vec, ...]:
-    """RREF basis of span{v, Mv, M^2 v, ...}."""
-    basis = ()
-    w = v
-    while not in_span(basis, w, m.p):
-        basis = _insert(basis, w, m.p)
-        w = m.vec(w)
-    return basis
+def _line_representatives(p: int, n: int) -> np.ndarray:
+    """One vector per line of F_p^n, the one whose first nonzero entry is 1,
+    in the product order of range(p)**n, as base-p codes.
+
+    Read as n base-p digits, most significant first, such a vector is a
+    number whose leading digit is 1: p**j + t for a tail t < p**j, where j
+    is the count of entries after the 1.  Ascending codes are the product
+    order, so there are (p**n - 1) / (p - 1) of them, and no other vector
+    is visited.
+    """
+    return np.concatenate([np.arange(p ** j, 2 * p ** j, dtype=np.int64)
+                           for j in range(n)])
+
+
+def _rref_stack(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon forms mod p of a stack of matrices, in place, and
+    their ranks.  Each form's first rank rows are the canonical RREF basis
+    of its row space, as :func:`rref` gives it; the rows below are zero.
+
+    One elimination runs over the whole stack, column by column: each
+    matrix with a nonzero entry in the column at or below its rank takes
+    the first such row as its pivot row, swaps it up to its rank, scales it
+    by the inverse of its pivot (one ``pow`` per distinct pivot value) and
+    clears the column from its other rows.  Entries stay below p, so every
+    intermediate is an exact int64 below p**2.
+    """
+    rank = np.zeros(len(a), dtype=np.intp)
+    height = np.arange(a.shape[1])
+    for col in range(a.shape[2]):
+        cand = (a[:, :, col] != 0) & (height >= rank[:, None])
+        b = np.flatnonzero(cand.any(axis=1))
+        if not b.size:
+            continue
+        src, dst = cand[b].argmax(axis=1), rank[b]
+        pivots = a[b, src, col].tolist()
+        inv = {v: pow(v, -1, p) for v in set(pivots)}
+        row = a[b, src] * np.array([inv[v] for v in pivots])[:, None] % p
+        a[b, src] = a[b, dst]
+        # every row is cleared, the one at dst too, which row then replaces
+        a[b] = (a[b] - a[b, :, col, None] * row[:, None, :]) % p
+        a[b, dst] = row
+        rank[b] += 1
+    return a, rank
+
+
+def _cyclic_subspaces(m: MatrixFp) -> dict[tuple[Vec, ...], Vec]:
+    """The distinct proper cyclic subspaces C(v) = span{v, Mv, M^2 v, ..},
+    as RREF bases in the order of their first line, each mapped to the last
+    line representative that generates it.
+
+    C(v) depends only on the line of v, so one representative per line is
+    read.  Their Krylov blocks v, Mv, .., M^(n-1) v are n - 1 int64 matrix
+    products over all representatives at once (n p^2 < 2**63 under
+    SUBSPACE_ENUMERATION_BOUND), and one batched elimination mod p turns
+    every block into the RREF basis of its span.  Representatives go in
+    stacks of 2**16 / n^2 blocks, so memory stays bounded.
+    """
+    p, n = m.p, m.n
+    mt = np.array(m.rows, dtype=np.int64).T
+    lines = _line_representatives(p, n)
+    seeds = {}
+    step = max(1, 2 ** 16 // (n * n))
+    for start in range(0, len(lines), step):
+        vecs = np.column_stack(unpack_digits(p, n, lines[start:start + step]))
+        krylov = [vecs]
+        for _ in range(n - 1):
+            krylov.append(krylov[-1] @ mt % p)
+        red, rank = _rref_stack(np.stack(krylov, axis=1), p)
+        proper = np.flatnonzero(rank < n)
+        for basis, r, v in zip(red[proper].tolist(), rank[proper].tolist(),
+                               vecs[proper].tolist()):
+            seeds[tuple(map(tuple, basis[:r]))] = tuple(v)
+    return seeds
 
 
 def invariant_subspaces(m: MatrixFp) -> list[tuple[Vec, ...]]:
@@ -421,19 +486,15 @@ def invariant_subspaces(m: MatrixFp) -> list[tuple[Vec, ...]]:
 
     An invariant subspace U is the sum of the cyclic subspaces C(v), v in U,
     and C(v) lies in U exactly when v does.  So the subspaces are the closed
-    sets of :func:`closed_sets` over the distinct proper cyclic subspaces: a
-    step adds one to the basis and finds which the sum holds by reducing a
+    sets of :func:`closed_sets` over the distinct proper cyclic subspaces,
+    which :func:`_cyclic_subspaces` finds in one batched elimination: a step
+    adds one to the basis and finds which the sum holds by reducing a
     generating vector of each, all in one numpy pass.
     """
     p, n = m.p, m.n
     if p ** n > SUBSPACE_ENUMERATION_BOUND:
         raise TooLarge(f"{p}^{n} vectors exceed bound {SUBSPACE_ENUMERATION_BOUND}")
-    seeds = {}                 # cyclic subspace -> a vector generating it
-    for v in product(range(p), repeat=n):
-        if next((x for x in v if x), 0) == 1:     # one vector per line
-            basis = cyclic_subspace(m, v)
-            if len(basis) < n:
-                seeds[basis] = v
+    seeds = _cyclic_subspaces(m)
     atoms = list(seeds)
     # each atom is a member, and so is every subspace of an eigenspace but
     # 0 and itself; an eigenspace of c lines has dimension log_p(c(p-1) + 1)

@@ -794,7 +794,9 @@ def fiber_spectrum(m: CylinderMeasure, rule: LocalRule, depth: int,
     normalized base masses of the fiber, their support count, the modal
     support count K, the common positive weight if one exists, and the gap
     |log2 K - (H_{depth+1} - H_depth)|.  The CA-invariance deviation at this
-    depth is embedded since the K-to-1 statement presumes invariance.
+    depth is embedded since the K-to-1 statement presumes invariance.  A
+    floor above every image word's mass is a BadParams that names the
+    largest one.
 
     The fiber of an image word w is the set of base words x with
     step(x) = w, indexed by x's first symbol a: its member of first symbol
@@ -808,6 +810,10 @@ def fiber_spectrum(m: CylinderMeasure, rule: LocalRule, depth: int,
     pushed = _pushed(parts, depth,
                      lambda lv: _ca_image(rule, lv.codes, depth))
     picked = np.flatnonzero(_at_least(pushed, mass_floor))
+    if not picked.size:
+        raise BadParams(f"mass floor {mass_floor} prunes every image word: "
+                        f"the largest pushforward mass at depth {depth} is "
+                        f"{Fraction(int(pushed.nums.max()), pushed.den)}")
     row = np.full(len(pushed.codes), -1)
     row[picked] = np.arange(len(picked))
     totals = pushed.nums[picked].tolist()
@@ -836,18 +842,15 @@ def fiber_spectrum(m: CylinderMeasure, rule: LocalRule, depth: int,
                 support.tolist()))]
 
     own = m.level(depth)
-    if rows:
-        counts = Counter(r.support_count for r in rows)
-        top = max(counts.values())
-        k_est = min(k for k, c in counts.items() if c == top)
-        positive = {v for v in distinct.values() if v > 0}
-        eta = positive.pop() if len(positive) == 1 else None
-        inc = _combo_sub(_entropy_combo(part() for part in parts),
-                         _entropy_combo([own]))
-        target = {b: Fraction(e) for b, e in _factorize(k_est)}
-        check = abs(_combo_float(_combo_sub(inc, target)))
-    else:
-        k_est, eta, check = 0, None, float("nan")
+    counts = Counter(r.support_count for r in rows)
+    top = max(counts.values())
+    k_est = min(k for k, c in counts.items() if c == top)
+    positive = {v for v in distinct.values() if v > 0}
+    eta = positive.pop() if len(positive) == 1 else None
+    inc = _combo_sub(_entropy_combo(part() for part in parts),
+                     _entropy_combo([own]))
+    target = {b: Fraction(e) for b, e in _factorize(k_est)}
+    check = abs(_combo_float(_combo_sub(inc, target)))
     dev, _ = _max_deviation(own, pushed)
     return FiberReport(depth=depth, mass_floor=mass_floor, rows=tuple(rows),
                        K_estimate=k_est, eta_constant=eta,

@@ -2,11 +2,12 @@
 
 These deliberately avoid the library's own enumeration strategies: Latin
 squares and permutative rules by per-line scans, closed subsets by bitmask
-scan, pushforwards by full preimage enumeration, and
-invariant factors by Smith normal form of xI - M over F_p[x].  The measure
-sweeps are the recursive per-word engine the level arrays replaced: a
-depth-first walk over words in lexicographic order, pruning zero-mass
-subtrees, with every mass from ``CylinderMeasure.eval``.  The whole-level
+scan, pushforwards by full preimage enumeration, cyclic subspaces by
+per-vector Krylov insertion, and invariant factors by Smith normal form of
+xI - M over F_p[x].  The measure sweeps are the recursive per-word engine
+the level arrays replaced: a depth-first walk over words in lexicographic
+order, pruning zero-mass subtrees, with every mass from
+``CylinderMeasure.eval``.  The whole-level
 pushforwards are the level engine's first form, which the sliced levels
 replaced: a base's whole level d+1 mapped, sorted and summed by code.
 """
@@ -22,7 +23,8 @@ import numpy as np
 from qgca.errors import (AlphabetSizeMismatch, BadEntry, BadParams,
                          DepthTooLarge, DuplicateInColumn, DuplicateInRow,
                          NotASubgroup)
-from qgca.matfp import MatrixFp, Poly, p_divmod, p_monic, p_mul, p_norm, p_sub
+from qgca.matfp import (MatrixFp, Poly, Vec, _insert, in_span, p_divmod,
+                        p_monic, p_mul, p_norm, p_sub)
 from qgca.measure import (WORD_ENUMERATION_BOUND, ZERO, ONE,
                           CaPushforward, CosetMeasureReport, FiberReport,
                           FiberRow, InvarianceReport, Level, ShiftPushforward,
@@ -238,6 +240,17 @@ def _poly_matrix_of(m: MatrixFp) -> list[list[Poly]]:
     return out
 
 
+def cyclic_subspace(m: MatrixFp, v: Vec) -> tuple[Vec, ...]:
+    """RREF basis of span{v, Mv, M^2 v, ...}, one Krylov vector at a time
+    until the next lies in the span."""
+    basis = ()
+    w = v
+    while not in_span(basis, w, m.p):
+        basis = _insert(basis, w, m.p)
+        w = m.vec(w)
+    return basis
+
+
 def snf_invariant_factors(m: MatrixFp) -> tuple[Poly, ...]:
     """Nonconstant diagonal entries of the Smith normal form of xI - M,
     monic, in ascending divisibility order."""
@@ -422,25 +435,27 @@ def fiber_spectrum(m, rule, depth, mass_floor=ZERO):
 
     pushed = pushforward_ca(m, rule)
     _check_depth(m.alphabet_size, depth + 1)
-    rows = []
+    rows, largest = [], ZERO
     for w, total in positive_words(pushed, depth):
+        largest = max(largest, total)
         if total < mass_floor:
             continue
         masses = [m.eval(f) for f in fiber_preimages(rule, w)]
         weights = tuple(v / total for v in masses)
         rows.append(FiberRow(w, total, sum(1 for v in weights if v > 0), weights))
+    if not rows:
+        raise BadParams(f"mass floor {mass_floor} prunes every image word: "
+                        f"the largest pushforward mass at depth {depth} is "
+                        f"{largest}")
 
-    if rows:
-        counts = Counter(r.support_count for r in rows)
-        top = max(counts.values())
-        k_est = min(k for k, c in counts.items() if c == top)
-        positive = {v for r in rows for v in r.weights if v > 0}
-        eta = positive.pop() if len(positive) == 1 else None
-        inc = _combo_sub(entropy_combo(m, depth + 1), entropy_combo(m, depth))
-        target = {b: Fraction(e) for b, e in _factorize(k_est)}
-        check = abs(_combo_float(_combo_sub(inc, target)))
-    else:
-        k_est, eta, check = 0, None, float("nan")
+    counts = Counter(r.support_count for r in rows)
+    top = max(counts.values())
+    k_est = min(k for k, c in counts.items() if c == top)
+    positive = {v for r in rows for v in r.weights if v > 0}
+    eta = positive.pop() if len(positive) == 1 else None
+    inc = _combo_sub(entropy_combo(m, depth + 1), entropy_combo(m, depth))
+    target = {b: Fraction(e) for b, e in _factorize(k_est)}
+    check = abs(_combo_float(_combo_sub(inc, target)))
     dev = invariance_report(m, depth, rule).max_abs_deviation
     return FiberReport(depth=depth, mass_floor=mass_floor, rows=tuple(rows),
                        K_estimate=k_est, eta_constant=eta,

@@ -231,6 +231,14 @@ def test_bad_mass_floor_is_a_usage_error(capsys, argv, floor):
         f"error: argument --mass-floor: bad rational {floor!r}\n")
 
 
+def test_mu_fibers_floor_that_prunes_every_word_is_an_input_error(capsys):
+    code, out, err = run_raw(capsys, "mu", "fibers", "@uniform,2", "@xor",
+                             "--depth", "2", "--mass-floor", "1/2")
+    assert (code, out) == (2, "")
+    assert err == ("input error: mass floor 1/2 prunes every image word: "
+                   "the largest pushforward mass at depth 2 is 1/4\n")
+
+
 def test_mass_floor_parses_to_a_fraction():
     argv = ["mu", "fibers", "@uniform,2", "@xor", "--mass-floor", "1/3"]
     assert cli.build_parser(argv).parse_args(argv).mass_floor == Fraction(1, 3)

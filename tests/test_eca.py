@@ -87,6 +87,29 @@ def test_group_checks_match_the_bruteforce_in_any_row_blocks(
     assert [_group_outcome(q, check) for q in tables] == expect
 
 
+@pytest.mark.parametrize("op", [
+    lambda x, y: (2 * x - y) % 5,       # idempotent, so n candidates
+    lambda x, y: (y - x) % 5,           # 0 is a left identity only
+    lambda x, y: (x - y) % 5,           # 0 is a right identity only
+])
+@pytest.mark.parametrize("check", [True, False])
+def test_no_two_sided_identity(op, check):
+    q = qg.validate_latin([[op(x, y) for y in range(5)] for x in range(5)])
+    with pytest.raises(NotAGroup) as exc:
+        gr._finish(q, check_associativity=check)
+    assert exc.value.reason == "no two-sided identity"
+    assert group_check_bruteforce(q.rows, check) == exc.value.reason
+
+
+def test_finish_reads_the_identity_from_the_diagonal_on_z7x4():
+    """Verifying the (Z/7)^4 table allocates no n^2-sized temporary: the
+    identity is read from the diagonal's one fixed point and the inverse
+    scan runs in row blocks, under 0.05 bytes per n^2 entry."""
+    q = gr.elementary_abelian_group(7, 4).quasigroup()
+    peak = _traced_peak(lambda: gr._finish(q, check_associativity=False))
+    assert peak <= 0.05 * q.order ** 2
+
+
 def test_group_product_packing():
     g = gr.group_product(gr.cyclic_group(2), gr.quaternion_group())
     assert g.order == 16 and g.identity == 0

@@ -1,5 +1,6 @@
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +8,7 @@ from qgca import matfp as mf
 from qgca.errors import (BadParams, BoundError, ParseError, QgcaError,
                          TooLarge)
 
-from oracles import snf_invariant_factors
+from oracles import cyclic_subspace, snf_invariant_factors
 
 M7 = mf.MatrixFp.from_rows(7, [[0, 0, 0, 1],
                                [1, 0, 0, 1],
@@ -303,6 +304,84 @@ def test_invariant_subspaces_strategies_agree(rng):
             m = random_matrix(p, n, rng)
             assert mf.invariant_subspaces(m) == \
                 mf.invariant_subspaces_exhaustive(m)
+
+
+def _power_of_x_minus_2(p, k):
+    f = (1,)
+    for _ in range(k):
+        f = mf.p_mul(f, (p - 2, 1), p)
+    return f
+
+
+@st.composite
+def subspace_matrices(draw):
+    """A random matrix over F_p (p in 2, 3, 5, 7, n <= 4), an identity, a
+    nilpotent Jordan block, the companion matrix of (x - 2)^4 over F_7, or
+    M7 and its negative.  Identities stay at p^n <= 343, since their every
+    subspace is invariant."""
+    kind = draw(st.sampled_from(["random", "random", "identity", "jordan",
+                                 "companion", "m7", "m7neg"]))
+    if kind == "companion":
+        return mf.companion_matrix(_power_of_x_minus_2(7, 4), 7)
+    if kind in ("m7", "m7neg"):
+        return M7 if kind == "m7" else M7.neg()
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 3 if kind == "identity" and p > 5 else 4))
+    if kind == "identity":
+        return mf.MatrixFp.identity(p, n)
+    if kind == "jordan":
+        return mf.MatrixFp.from_rows(p, [[int(j == i + 1) for j in range(n)]
+                                         for i in range(n)])
+    return mf.MatrixFp.from_rows(p, draw(st.lists(
+        st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+
+
+@settings(max_examples=80)
+@given(m=subspace_matrices())
+def test_batched_cyclic_subspaces_match_the_per_line_oracle(m):
+    """The batched elimination finds the proper cyclic subspaces that the
+    per-vector Krylov oracle finds on every line of F_p^n (one vector per
+    line, its first nonzero entry 1, in product order): the same RREF
+    bases, first met in the same order, with the same last generator."""
+    p, n = m.p, m.n
+    expect = {}
+    for v in product(range(p), repeat=n):
+        if next((x for x in v if x), 0) == 1:
+            basis = cyclic_subspace(m, v)
+            if len(basis) < n:
+                expect[basis] = v
+    assert list(mf._cyclic_subspaces(m).items()) == list(expect.items())
+    assert mf.invariant_subspaces(m) == mf.invariant_subspaces_exhaustive(m)
+
+
+def test_line_representatives_are_the_lines_in_product_order():
+    for p, n in ((2, 1), (2, 4), (3, 3), (7, 4), (5, 1)):
+        codes = mf._line_representatives(p, n)
+        assert len(codes) == (p ** n - 1) // (p - 1)
+        lines = [v for v in product(range(p), repeat=n)
+                 if next((x for x in v if x), 0) == 1]
+        assert [tuple(int(c) // p ** (n - 1 - i) % p for i in range(n))
+                for c in codes] == lines
+
+
+def test_rref_stack_matches_rref_on_wide_and_deficient_blocks(rng):
+    """Stacks of 3 x 5 matrices mod 7 and 11, with zero and repeated rows,
+    reduce to the canonical bases of :func:`mf.rref`."""
+    for p in (7, 11):
+        blocks = [[[rng.randrange(p) if rng.random() < 0.5 else 0
+                    for _ in range(5)] for _ in range(3)] for _ in range(40)]
+        blocks += [[[0] * 5] * 3, [[3, 1, 0, 0, 2]] * 3]
+        red, rank = mf._rref_stack(np.array(blocks, dtype=np.int64), p)
+        for block, got, r in zip(blocks, red.tolist(), rank.tolist()):
+            assert tuple(map(tuple, got[:r])) == mf.rref(block, p)
+            assert not any(map(any, got[r:]))
+
+
+def test_a_one_dimensional_space_over_a_large_prime_reads_one_line():
+    """F_p with p = 2**20 - 3 has one line, which spans the whole space:
+    no proper invariant subspace, found without visiting p vectors."""
+    assert mf.invariant_subspaces(mf.MatrixFp.from_rows(1048573, [[5]])) == []
 
 
 def test_invariant_subspaces_are_invariant(rng):

@@ -340,9 +340,27 @@ def test_fiber_spectrum_orbit(quat):
 
 def test_fiber_spectrum_mass_floor(quat):
     rule = ca.from_quasigroup(quat)
-    rep = mu.fiber_spectrum(orbit_ijk(), rule, 3, mass_floor=F(1, 2))
-    assert rep.rows == ()
-    assert rep.K_estimate == 0
+    rep = mu.fiber_spectrum(orbit_ijk(), rule, 3, mass_floor=F(1, 3))
+    assert len(rep.rows) == 3 and rep.K_estimate == 1
+    with pytest.raises(BadParams) as exc:
+        mu.fiber_spectrum(orbit_ijk(), rule, 3, mass_floor=F(1, 2))
+    assert str(exc.value) == ("mass floor 1/2 prunes every image word: the "
+                              "largest pushforward mass at depth 3 is 1/3")
+
+
+@pytest.mark.parametrize("floor", [F(1, 2), F(2)])
+def test_fiber_spectrum_floor_above_every_image_mass_is_bad_params(floor):
+    """A floor that prunes every image word is an input error naming the
+    floor and the largest pushforward mass, not an empty report with a NaN
+    entropy check; a floor at that mass keeps its words."""
+    xor = ca.from_quasigroup(qg.builtin("ledrappier", [2, 1, 1]))
+    with pytest.raises(BadParams) as exc:
+        mu.fiber_spectrum(mu.UniformMeasure(2), xor, 2, mass_floor=floor)
+    assert str(exc.value) == (f"mass floor {floor} prunes every image word: "
+                              f"the largest pushforward mass at depth 2 is "
+                              f"1/4")
+    rep = mu.fiber_spectrum(mu.UniformMeasure(2), xor, 2, mass_floor=F(1, 4))
+    assert len(rep.rows) == 4 and rep.entropy_check == 0.0
 
 
 def test_fiber_weights_are_shared_by_value_not_by_numerator():
