@@ -17,10 +17,13 @@ array of all N**d codes, and a level that fits in one chunk is sorted and
 summed in one pass.  So no sweep holds or sorts a whole level d+1 of a
 base kind.
 
-A chunk's image is stepped j symbols per lookup, in the table of step on
-all words of length j+1; j follows from N and the chunk length, so that
-table stays far smaller than the chunk.  A fiber spectrum shares one
-Fraction among the entries of each distinct (numerator, row total).
+A chunk of whole slices with int64 codes, as every chunk of a uniform or
+full-support level is, is imaged by row broadcast, with no division and
+no gather.  Any other chunk is stepped j symbols per lookup, in the table
+of step on all words of length j+1; j follows from N and the chunk
+length, so that table stays far smaller than the chunk.  A fiber
+spectrum shares one Fraction among the entries of each distinct
+(numerator, row total).
 """
 from __future__ import annotations
 
@@ -39,7 +42,7 @@ from .errors import (AlphabetMismatch, AlphabetSizeMismatch, BadParams,
                      DepthTooLarge, NotASubgroup, NotBipermutative, ParseError,
                      WordTooShort, ZeroMassCondition)
 from .groups import GroupTable
-from .quasigroup import index_dtype, pack_digits, unpack_digits
+from .quasigroup import pack_digits, unpack_digits
 
 WORD_ENUMERATION_BOUND = 2 ** 20
 
@@ -132,31 +135,61 @@ def _pushed(parts: Sequence[Callable[[], Level]], depth: int,
     return Level(lv.alphabet_size, depth, codes, out[codes], lv.den)
 
 
+def _slice_image(rule: LocalRule, lo: int, hi: int,
+                 depth: int) -> np.ndarray:
+    """int64 codes of step(w) for every length-(depth+1) word w whose first
+    symbol is in lo..hi-1, in code order.
+
+    The images of all length-(m+1) words are those of their length-m
+    suffixes plus T[a, b]·N**(m-1), for the rule table T and the first
+    two symbols a, b: one broadcast add per length, from the empty images
+    of the one-symbol words, with no division and no gather; the last add
+    reads rows lo..hi-1 only."""
+    n = rule.alphabet_size
+    image = np.zeros(n, dtype=np.int64)
+    for m in range(1, depth + 1):
+        # widen only the rows read: at depth 1 the table can be far larger
+        # than the chunk
+        rows = rule.table[lo:hi] if m == depth else rule.table
+        image = ((rows.astype(np.int64) * n ** (m - 1))[:, :, None]
+                 + image.reshape(n, -1)).ravel()
+    return image if depth else image[lo:hi]
+
+
 def _step_table(rule: LocalRule, j: int) -> np.ndarray:
     """step on every length-(j+1) word, by code: the codes of the images,
-    which have j symbols.  For j = 1 this is the flat rule table."""
+    which have j symbols.  For j = 1 this is the flat rule table itself,
+    not a copy through int64."""
     if j == 1:
         return rule.table.ravel()
-    n = rule.alphabet_size
-    return _ca_image(rule, np.arange(n ** (j + 1)), j).astype(
-        index_dtype(n ** j))
+    return _slice_image(rule, 0, rule.alphabet_size, j)
 
 
 def _ca_image(rule: LocalRule, codes: np.ndarray, depth: int) -> np.ndarray:
-    """Codes of step(w) for the length-(depth+1) words w coded by ``codes``.
+    """Codes of step(w) for the length-(depth+1) words w coded by ``codes``,
+    which must strictly ascend, as every level's codes do.
 
-    Each window of j+1 neighbouring symbols is read off the code as one
-    base-N**(j+1) digit and looked up in the step table of that length,
-    which gives j image symbols at once; the last depth mod j image symbols
-    come from a shorter window.  j grows with the number of codes, so the
-    table stays far smaller than they are, and only a few arrays of
-    len(codes) are alive at once."""
+    int64 codes of whole first-symbol slices are imaged by row broadcast
+    (``_slice_image``).  Other codes are read in windows: each window of
+    j+1 neighbouring symbols is one base-N**(j+1) digit of the code, looked
+    up in the step table of that length for j image symbols at once; the
+    last depth mod j come from a shorter window.  j grows with the number
+    of codes, so the table stays far smaller than they are, and only a few
+    arrays of len(codes) are alive at once."""
     n = rule.alphabet_size
+    size = n ** depth
+    # ascending codes are a run when the span from first to last is their
+    # count, and whole slices when it starts and ends on slice boundaries
+    if (codes.dtype == np.int64 and len(codes) and len(codes) % size == 0
+            and codes[0] % size == 0
+            and codes[-1] - codes[0] + 1 == len(codes)):
+        lo = codes[0] // size
+        return _slice_image(rule, lo, lo + len(codes) // size, depth)
     j = 1
     while j + 1 < depth and n ** (j + 2) <= min(len(codes) // 16, 2 ** 12):
         j += 1
-    # image has the codes' dtype, int64 or object, so adding the narrow
-    # table entries widens them and no step can overflow the table dtype
+    # image has the codes' dtype, int64 or object, so the table entries
+    # added to it are widened and no step can overflow the table's dtype
     image = np.zeros_like(codes)
     table, tail = _step_table(rule, j), depth % j
     for k in range(depth - j, tail - 1, -j):
@@ -502,17 +535,22 @@ def _max_deviation(a: Level, b: Level) -> tuple[Fraction, Word | None]:
     """max |a(w) - b(w)| over all words, and the first word reaching it
     (None when the levels agree)."""
     den = math.lcm(a.den, b.den)
-    # each word of b: where it would sit among a's words, and whether it does
-    at = np.searchsorted(a.codes, b.codes)
-    np.minimum(at, len(a.codes) - 1, out=at)
-    shared = a.codes[at] == b.codes
-    at = at[shared]
     diff = _fit(a.nums, den) * (den // a.den)
-    scaled = _fit(b.nums[shared], den)
-    scaled *= den // b.den
-    np.subtract.at(diff, at, scaled)
+    scaled = b.nums if den == b.den else _fit(b.nums, den) * (den // b.den)
+    if np.array_equal(a.codes, b.codes):
+        # the same words, as an invariant measure's levels have: subtracted
+        # in place, with no lookup and no index array
+        shared = a.codes == b.codes
+        diff -= scaled
+    else:
+        # each word of b: where it would sit among a's words, and whether
+        # it does
+        at = np.searchsorted(a.codes, b.codes)
+        np.minimum(at, len(a.codes) - 1, out=at)
+        shared = a.codes[at] == b.codes
+        np.subtract.at(diff, at[shared], scaled[shared])
     np.absolute(diff, out=diff)
-    alone = _fit(b.nums[~shared], den) * (den // b.den)
+    alone = scaled[~shared]
     best = max(diff.max(initial=0), alone.max(initial=0))
     if best == 0:
         return ZERO, None

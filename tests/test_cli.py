@@ -448,6 +448,18 @@ def test_eca_hmax_associativity_check_bound_exit_code(capsys, monkeypatch,
     assert err == "bound exceeded: order 8 exceeds enumeration bound 7"
 
 
+def test_ca_step_rule_table_bound_exit_code(capsys, tmp_path):
+    from qgca.automaton import RULE_TABLE_BOUND
+    assert RULE_TABLE_BOUND == 2 ** 24
+    # 2**25 neighbourhoods: rejected from the header, before any is read
+    rule = tmp_path / "wide.rule"
+    rule.write_text("2 12 12\n")
+    code, out, err = run(capsys, "ca", "step", rule, "0 1")
+    assert (code, out) == (3, "")
+    assert err == ("bound exceeded: rule table with 33554432 entries "
+                   "exceeds bound 16777216")
+
+
 def test_paper_suite_depth3(capsys):
     code, raw, _ = run_raw(capsys, "paper-suite", "--depth", "3")
     assert code == 0

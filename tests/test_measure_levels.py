@@ -57,8 +57,8 @@ class Relabelled(mu.CylinderMeasure):
 
 
 @st.composite
-def distributions(draw, n):
-    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)
+def distributions(draw, n, least=0):
+    weights = draw(st.lists(st.integers(least, 3), min_size=n, max_size=n)
                    .filter(any))
     return [F(w, sum(weights)) for w in weights]
 
@@ -70,12 +70,16 @@ def rules(draw, n):
 
 @st.composite
 def base_measures(draw, n):
-    kinds = ["uniform", "bernoulli", "markov", "orbit", "relabelled"]
+    kinds = ["uniform", "bernoulli", "positive", "markov", "orbit",
+             "relabelled"]
     kind = draw(st.sampled_from(kinds + ["product"] if n == 4 else kinds))
     if kind == "uniform":
         return mu.UniformMeasure(n)
-    if kind == "bernoulli":
-        return mu.BernoulliMeasure(draw(distributions(n)))
+    if kind in ("bernoulli", "positive"):
+        # "positive" has full support, so each chunk of its levels is a
+        # run of whole slices, imaged by row broadcast
+        return mu.BernoulliMeasure(draw(distributions(
+            n, least=int(kind == "positive"))))
     if kind == "markov":
         return mu.MarkovMeasure(draw(distributions(n)),
                                 [draw(distributions(n)) for _ in range(n)])
@@ -132,6 +136,40 @@ def test_fiber_spectrum_matches_oracle(data, n, depth, floor):
     m, rule = data.draw(measures(n)), data.draw(rules(n))
     assert outcome(mu.fiber_spectrum, m, rule, depth, floor) \
         == outcome(oracles.fiber_spectrum, m, rule, depth, floor)
+
+
+@settings(max_examples=80)
+@given(data=st.data(), n=st.integers(2, 3), depth=st.integers(1, 3),
+       words=st.sampled_from(["same", "as many", "any"]))
+def test_max_deviation_matches_a_per_word_comparison(data, n, depth, words):
+    """Two levels with the same words, as many words or any others, over
+    any two denominators, against the masses compared word by word; the
+    worst word is the first one reaching the maximum."""
+    def level(codes):
+        den = data.draw(st.integers(1, 12))
+        nums = data.draw(st.lists(st.integers(1, den), min_size=len(codes),
+                                  max_size=len(codes)))
+        return mu.Level(n, depth, np.array(codes, dtype=np.int64),
+                        np.array(nums, dtype=np.int64), den)
+
+    def codes(count=None):
+        return sorted(data.draw(st.sets(st.integers(0, n ** depth - 1),
+                                        min_size=count or 1,
+                                        max_size=count)))
+
+    a = level(codes())
+    b = level(a.codes.tolist() if words == "same" else
+              codes(len(a.codes) if words == "as many" else None))
+    masses = [{c: F(v, lv.den) for c, v in zip(lv.codes.tolist(),
+                                                lv.nums.tolist())}
+              for lv in (a, b)]
+    devs = {c: abs(masses[0].get(c, 0) - masses[1].get(c, 0))
+            for c in masses[0].keys() | masses[1].keys()}
+    best = max(devs.values())
+    worst = min(c for c, d in devs.items() if d == best)
+    assert mu._max_deviation(a, b) == (
+        best, None if best == 0 else
+        tuple(worst // n ** k % n for k in range(depth - 1, -1, -1)))
 
 
 @settings(max_examples=80)

@@ -10,6 +10,7 @@ import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -164,6 +165,54 @@ def test_ca_image_matches_step_on_decoded_words(data, n, depth):
     assert image[at].tolist() == stepped_codes(rule, codes, depth, at)
 
 
+def images_with_path(rule, codes, depth):
+    """The image of ``codes`` and whether it was made by row broadcast, the
+    one path that reads no step table."""
+    calls = []
+
+    def spy(rule, j):
+        calls.append(j)
+        return step_table(rule, j)
+
+    step_table = mu._step_table
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mu, "_step_table", spy)
+        image = mu._ca_image(rule, codes, depth)
+    return image, not calls
+
+
+@settings(max_examples=120)
+@given(data=st.data(), n=st.integers(2, 9))
+def test_whole_slices_are_imaged_by_row_broadcast(data, n):
+    """int64 codes of the whole first-symbol slices lo..hi-1 take the dense
+    path and match the pair-by-pair oracle on every code and the automaton
+    on drawn codes; a run one code short, shifted by one or starting
+    mid-slice, and the same slices as Python ints, take the windowed path
+    and match the oracle too."""
+    top = max(d for d in range(17) if n ** (d + 1) <= 2 ** 17)
+    depth = data.draw(st.integers(0, top))
+    rule = data.draw(rules(n))
+    lo = data.draw(st.integers(0, n - 1))
+    hi = data.draw(st.integers(lo + 1, n))
+    size = n ** depth
+    codes = np.arange(lo * size, hi * size, dtype=np.int64)
+    image, dense = images_with_path(rule, codes, depth)
+    assert dense and image.dtype == INT64
+    assert image.tolist() == oracles._ca_image(rule, codes, depth).tolist()
+    if depth == 0:
+        return      # every run of one-symbol words is whole slices
+    at = sorted({0, len(codes) - 1, *data.draw(st.lists(
+        st.integers(0, len(codes) - 1), max_size=40))})
+    assert image[at].tolist() == stepped_codes(rule, codes, depth, at)
+    near = [codes[:-1], codes[size // 2:], codes.astype(object)]
+    near += [codes + s for s in (1, -1)
+             if 0 <= codes[0] + s and codes[-1] + s < n * size]
+    for run in near:
+        image, dense = images_with_path(rule, run, depth)
+        assert not dense and image.dtype == run.dtype
+        assert image.tolist() == oracles._ca_image(rule, run, depth).tolist()
+
+
 def test_ca_image_of_python_int_codes_matches_step():
     """Codes past 2**63 are Python ints; enough of them for two-symbol
     windows, with and without a one-symbol tail."""
@@ -194,6 +243,16 @@ def test_d7_depth6_invariance_holds_no_level_seven():
     assert (rep.max_abs_deviation, rep.worst_word) == (0, None)
     # the whole level 7 alone is 2 * 7**7 entries
     assert peak <= 8 * 7 ** 6 * INT64.itemsize
+
+
+def test_whole_slices_of_a_large_table_widen_only_their_rows():
+    """At depth 1 the rule table is larger than a chunk of slices: the dense
+    image widens the chunk's rows, not the 2401**2 table."""
+    rule = ca.from_quasigroup(qg.builtin("cyclic", [2401]))
+    codes = np.arange(5 * 2401, 25 * 2401)
+    image, peak = traced_peak(mu._ca_image, rule, codes, 1)
+    assert image.tolist() == oracles._ca_image(rule, codes, 1).tolist()
+    assert peak <= 3 * codes.nbytes
 
 
 def test_z7x4_coset_check_holds_no_level_two():
