@@ -14,16 +14,17 @@ of at most N**(d-1) entries.  A pushforward's level d is its base's level
 d+1 read chunk by chunk: a bipermutative rule maps each slice one to one
 onto the words of length d, so the chunks' images scatter-add into an
 array of all N**d codes, and a level that fits in one chunk is sorted and
-summed in one pass.  So no sweep holds or sorts a whole level d+1 of a
-base kind.
+summed in one pass.  The invariance, coset and fiber reductions read
+level d+1 in one such sweep each; only a fiber spectrum keeps the chunks,
+with their images, until the sweep ends.
 
 A chunk of whole slices with int64 codes, as every chunk of a uniform or
-full-support level is, is imaged by row broadcast, with no division and
-no gather.  Any other chunk is stepped j symbols per lookup, in the table
-of step on all words of length j+1; j follows from N and the chunk
-length, so that table stays far smaller than the chunk.  A fiber
-spectrum shares one Fraction among the entries of each distinct
-(numerator, row total).
+full-support level is, is imaged by one broadcast add onto the images of
+all words of length d, built once per sweep; a uniform chunk's numerators
+are a zero-stride view of 1.  Any other chunk is stepped j symbols per
+lookup, in the table of step on all words of length j+1, j chosen so that
+the table stays far smaller than the chunk.  Fiber weights are gathered
+with numpy, one Fraction per distinct (numerator, row total).
 """
 from __future__ import annotations
 
@@ -135,25 +136,27 @@ def _pushed(parts: Sequence[Callable[[], Level]], depth: int,
     return Level(lv.alphabet_size, depth, codes, out[codes], lv.den)
 
 
-def _slice_image(rule: LocalRule, lo: int, hi: int,
-                 depth: int) -> np.ndarray:
-    """int64 codes of step(w) for every length-(depth+1) word w whose first
-    symbol is in lo..hi-1, in code order.
+def _suffix_images(rule: LocalRule, depth: int) -> np.ndarray:
+    """S_depth: int64 codes of step(w) for every length-``depth`` word w, in
+    code order, from the empty images S_1 by ``_slice_image`` of all rows."""
+    image = np.zeros(rule.alphabet_size, dtype=np.int64)
+    for m in range(1, depth):
+        image = _slice_image(rule, 0, rule.alphabet_size, m, image)
+    return image
 
-    The images of all length-(m+1) words are those of their length-m
-    suffixes plus T[a, b]·N**(m-1), for the rule table T and the first
-    two symbols a, b: one broadcast add per length, from the empty images
-    of the one-symbol words, with no division and no gather; the last add
-    reads rows lo..hi-1 only."""
-    n = rule.alphabet_size
-    image = np.zeros(n, dtype=np.int64)
-    for m in range(1, depth + 1):
-        # widen only the rows read: at depth 1 the table can be far larger
-        # than the chunk
-        rows = rule.table[lo:hi] if m == depth else rule.table
-        image = ((rows.astype(np.int64) * n ** (m - 1))[:, :, None]
-                 + image.reshape(n, -1)).ravel()
-    return image if depth else image[lo:hi]
+
+def _slice_image(rule: LocalRule, lo: int, hi: int, depth: int,
+                 suffix: np.ndarray) -> np.ndarray:
+    """int64 codes of step(w) for every length-(depth+1) word w whose first
+    symbol is in lo..hi-1, in code order: the images S_depth of the suffixes
+    plus T[a, b]·N**(depth-1), for the rule table T and the first two
+    symbols a, b.  One broadcast add, with no division and no gather, that
+    widens rows lo..hi-1 of T only."""
+    if not depth:
+        return suffix[lo:hi]
+    return ((rule.table[lo:hi].astype(np.int64)
+             * rule.alphabet_size ** (depth - 1))[..., None]
+            + suffix.reshape(rule.alphabet_size, -1)).ravel()
 
 
 def _step_table(rule: LocalRule, j: int) -> np.ndarray:
@@ -162,20 +165,22 @@ def _step_table(rule: LocalRule, j: int) -> np.ndarray:
     not a copy through int64."""
     if j == 1:
         return rule.table.ravel()
-    return _slice_image(rule, 0, rule.alphabet_size, j)
+    return _suffix_images(rule, j + 1)
 
 
-def _ca_image(rule: LocalRule, codes: np.ndarray, depth: int) -> np.ndarray:
+def _ca_image(rule: LocalRule, codes: np.ndarray, depth: int,
+              suffix: Callable | None = None) -> np.ndarray:
     """Codes of step(w) for the length-(depth+1) words w coded by ``codes``,
     which must strictly ascend, as every level's codes do.
 
     int64 codes of whole first-symbol slices are imaged by row broadcast
-    (``_slice_image``).  Other codes are read in windows: each window of
-    j+1 neighbouring symbols is one base-N**(j+1) digit of the code, looked
-    up in the step table of that length for j image symbols at once; the
-    last depth mod j come from a shorter window.  j grows with the number
-    of codes, so the table stays far smaller than they are, and only a few
-    arrays of len(codes) are alive at once."""
+    (``_slice_image``) on the suffix images S_depth, which a sweep builds
+    once: ``suffix`` is its cache of ``_suffix_images`` of the rule.  Other
+    codes are read in windows: each window of j+1 symbols is one
+    base-N**(j+1) digit of the code, looked up in the step table of that
+    length for j image symbols at once, the last depth mod j from a shorter
+    window.  j grows with the number of codes, so the table stays far
+    smaller than they, and few arrays of len(codes) are alive at once."""
     n = rule.alphabet_size
     size = n ** depth
     # ascending codes are a run when the span from first to last is their
@@ -184,7 +189,8 @@ def _ca_image(rule: LocalRule, codes: np.ndarray, depth: int) -> np.ndarray:
             and codes[0] % size == 0
             and codes[-1] - codes[0] + 1 == len(codes)):
         lo = codes[0] // size
-        return _slice_image(rule, lo, lo + len(codes) // size, depth)
+        return _slice_image(rule, lo, lo + len(codes) // size, depth,
+                            (suffix or partial(_suffix_images, rule))(depth))
     j = 1
     while j + 1 < depth and n ** (j + 2) <= min(len(codes) // 16, 2 ** 12):
         j += 1
@@ -293,7 +299,8 @@ class UniformMeasure(CylinderMeasure):
         n, size = self.alphabet_size, self.alphabet_size ** (depth - 1)
         return np.full(n, size), lambda lo, hi: Level(
             n, depth, np.arange(lo * size, hi * size, dtype=np.int64),
-            np.ones((hi - lo) * size, dtype=np.int64), n * size)
+            np.ndarray((hi - lo) * size, np.int64, np.int64(1), strides=(0,)),
+            n * size)
 
 
 class MarkovMeasure(CylinderMeasure):
@@ -469,9 +476,10 @@ class CaPushforward(CylinderMeasure):
                     for f in fiber_preimages(self.rule, word)), ZERO)
 
     def _parts(self, depth: int) -> Parts:
-        rule = self.rule
+        suffix = cache(partial(_suffix_images, self.rule))
         return _split(_pushed(self.base._slices(depth + 1), depth,
-                              lambda lv: _ca_image(rule, lv.codes, depth)))
+                              lambda lv: _ca_image(self.rule, lv.codes,
+                                                   depth, suffix)))
 
 
 class ShiftPushforward(CylinderMeasure):
@@ -512,11 +520,12 @@ def pushforward_shift(m: CylinderMeasure) -> CylinderMeasure:
 
 def _check_depth(alphabet_size: int, depth: int) -> None:
     """Reject a negative depth, and one whose N**depth words exceed the
-    bound.  N**depth also bounds the largest level array that the
-    invariance, coset and fiber reductions allocate: they read level
-    depth+1 in chunks of at most N**depth entries (fiber rows still list N
-    weights per word).  A pushforward of a pushforward, an orbit measure or
-    a measure with only ``_eval`` builds its whole level depth+1 first."""
+    bound.  N**depth also bounds the largest level array that invariance
+    and coset reductions allocate: they read level depth+1 in chunks of at
+    most N**depth entries.  A fiber sweep keeps every chunk with its image
+    and gathers arrays as long as level depth+1, whose N**(depth+1) words
+    its caller bounds too.  A pushforward of a pushforward, an orbit measure
+    or a measure with only ``_eval`` builds its whole level depth+1 first."""
     if depth < 0:
         raise BadParams("depth must be nonnegative")
     if alphabet_size ** depth > WORD_ENUMERATION_BOUND:
@@ -586,15 +595,7 @@ _TRIAL_LIMIT = 10 ** 6
 def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     """(base, exponent) pairs for n >= 1; a cofactor above the trial bound
     is kept whole, which only coarsens cross-depth cancellation."""
-    rem, out = n, []
-    for d in (2, 3):
-        e = 0
-        while rem % d == 0:
-            rem //= d
-            e += 1
-        if e:
-            out.append((d, e))
-    d = 5
+    rem, out, d = n, [], 2
     while d * d <= rem and d <= _TRIAL_LIMIT:
         e = 0
         while rem % d == 0:
@@ -602,7 +603,7 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
             e += 1
         if e:
             out.append((d, e))
-        d += 2
+        d += 1 if d == 2 else 2
     if rem > 1:
         out.append((rem, 1))
     return tuple(out)
@@ -747,35 +748,32 @@ def coset_measure_check(m: CylinderMeasure, g: GroupTable,
     picked = np.flatnonzero(_at_least(own, mass_floor))
     if depth == 0 and len(picked):
         raise WordTooShort(0, 1)     # the empty word has no conditional
-    # the words b + w, read in slices of first symbol b; summed over b they
-    # are the shift pushforward, whose deviation the report embeds
+    # the predecessors b + w of a word w pass if they are one right coset
+    # C.x, of k members, each of mass m(w) / k
     size, k = m.alphabet_size ** depth, len(members)
-    parts = m._slices(depth + 1)
-    shifted = _pushed(parts, depth, lambda lv: lv.codes % size)
-    den = math.lcm(own.den, shifted.den)
-    pos = np.searchsorted(shifted.codes, own.codes)
-    found = pos < len(shifted.codes)
-    found[found] = shifted.codes[pos[found]] == own.codes[found]
-    want = np.zeros(len(shifted.codes), dtype=_dtype(den * k))
-    want[pos[found]] = _fit(own.nums[found], den * k) * (den // own.den)
-    # the predecessors of w pass if they are one right coset C.x, of k
-    # members, each with weight 1/|C|: scaled by den * k, the mass of w
     coset_id = g.table[np.array(members)].min(axis=0).astype(np.int64)
-    count = np.zeros(len(shifted.codes), dtype=np.int64)
-    low = np.full(len(shifted.codes), g.order)
-    high = np.full(len(shifted.codes), -1)
-    uneven = np.zeros(len(shifted.codes), dtype=bool)
-    for part in parts:
-        lv = part()
-        at = np.searchsorted(shifted.codes, lv.codes % size)
-        ids = coset_id[(lv.codes // size).astype(np.int64, copy=False)]
+    count = np.zeros(len(own.codes), dtype=np.int64)
+    low = np.full(len(own.codes), g.order)
+    high = np.full(len(own.codes), -1)
+    uneven = np.zeros(len(own.codes), dtype=bool)
+
+    # the words b + w in slices of first symbol b, tallied at w; summed
+    # over b they are the shift pushforward, whose deviation is embedded
+    def tally(lv: Level) -> np.ndarray:
+        tail = lv.codes % size
+        # past the last word, searchsorted's len wraps to 0, a miss
+        at = np.searchsorted(own.codes, tail) % len(own.codes)
+        hit = own.codes[at] == tail
+        at, ids = at[hit], coset_id[lv.codes[hit] // size]
         np.add.at(count, at, 1)
         np.minimum.at(low, at, ids)
         np.maximum.at(high, at, ids)
-        scaled = _fit(lv.nums, den * k) * (den // shifted.den * k)
-        uneven[at[scaled != want[at]]] = True
-    ok = found[picked]
-    ok[ok] = ((low == high) & (count == k) & ~uneven)[pos[picked][ok]]
+        den = math.lcm(own.den, lv.den)
+        uneven[at[_fit(lv.nums[hit], den * k) * (den // lv.den * k)
+                  != _fit(own.nums[at], den * k) * (den // own.den)]] = True
+        return tail
+    shifted = _pushed(m._slices(depth + 1), depth, tally)
+    ok = ((low == high) & (count == k) & ~uneven)[picked]
 
     checked, worst = len(picked), None
     if not ok.all():
@@ -844,49 +842,51 @@ def fiber_spectrum(m: CylinderMeasure, rule: LocalRule, depth: int,
     _check_depth(m.alphabet_size, depth)
     _check_depth(m.alphabet_size, depth + 1)
     n = m.alphabet_size
-    parts = m._slices(depth + 1)
-    pushed = _pushed(parts, depth,
-                     lambda lv: _ca_image(rule, lv.codes, depth))
-    picked = np.flatnonzero(_at_least(pushed, mass_floor))
+    # one sweep builds and images each chunk once, kept for the weights
+    chunks, suffix = [], cache(partial(_suffix_images, rule))
+
+    def image(lv: Level) -> np.ndarray:
+        chunks.append((lv, img := _ca_image(rule, lv.codes, depth, suffix)))
+        return img
+    pushed = _pushed(m._slices(depth + 1), depth, image)
+    heavy = _at_least(pushed, mass_floor)
+    picked, row = np.flatnonzero(heavy), np.cumsum(heavy) - 1
     if not picked.size:
         raise BadParams(f"mass floor {mass_floor} prunes every image word: "
                         f"the largest pushforward mass at depth {depth} is "
                         f"{Fraction(int(pushed.nums.max()), pushed.den)}")
-    row = np.full(len(pushed.codes), -1)
-    row[picked] = np.arange(len(picked))
-    totals = pushed.nums[picked].tolist()
-    weights = [ZERO] * (n * len(totals))       # row by row
-    support = np.zeros(len(totals), dtype=np.int64)
-    # one Fraction per distinct (numerator, row total), shared by its entries
-    distinct: dict[tuple[int, int], Fraction] = {}
-    for part in parts:
-        lv = part()
-        at = row[np.searchsorted(pushed.codes,
-                                 _ca_image(rule, lv.codes, depth))]
-        keep = at >= 0
-        np.add.at(support, at[keep], 1)
-        for i, a, num in zip(at[keep].tolist(),
-                             (lv.codes[keep] // n ** depth).tolist(),
-                             lv.nums[keep].tolist()):
-            key = num, totals[i]
-            weight = distinct.get(key)
-            if weight is None:
-                weight = distinct[key] = Fraction(*key)
-            weights[i * n + a] = weight
-    rows = [FiberRow(w, Fraction(t, pushed.den), c,
-                     tuple(weights[i * n:(i + 1) * n]))
-            for i, (w, t, c) in enumerate(zip(
-                _words(n, depth, pushed.codes[picked]), totals,
-                support.tolist()))]
-
     own = m.level(depth)
-    counts = Counter(r.support_count for r in rows)
-    top = max(counts.values())
-    k_est = min(k for k, c in counts.items() if c == top)
-    positive = {v for v in distinct.values() if v > 0}
-    eta = positive.pop() if len(positive) == 1 else None
-    inc = _combo_sub(_entropy_combo(part() for part in parts),
+    inc = _combo_sub(_entropy_combo(lv for lv, _ in chunks),
                      _entropy_combo([own]))
+    # each base word over a picked image word: its weight slot, row·N plus
+    # its first symbol, and its numerator
+    slots, nums = [], []
+    while chunks:
+        lv, img = chunks.pop()
+        at = np.searchsorted(pushed.codes, img)
+        keep = heavy[at]
+        slots.append(row[at[keep]] * n + lv.codes[keep] // n ** depth)
+        nums.append(lv.nums[keep])
+    slots, nums = np.concatenate(slots), np.concatenate(nums)
+    # one Fraction per distinct row total and per distinct (numerator, row
+    # total), keyed numerator·span + total < span**2, as span > every total
+    totals, total_at = np.unique(pushed.nums[picked], return_inverse=True)
+    span = int(totals[-1]) + 1
+    nums = _fit(nums, span ** 2) * span + pushed.nums[picked[slots // n]]
+    keys, _ = np.unique(nums, return_counts=True)  # plain imports np.ma
+    distinct = [Fraction(*divmod(k, span)) for k in keys.tolist()]
+    weights = np.full(len(picked) * n, ZERO, dtype=object)
+    weights[slots] = np.array(distinct, dtype=object)[
+        np.searchsorted(keys, nums)]
+    support = np.bincount(slots // n)     # each row has a kept word
+    del slots, nums, lv, img, keep      # the rows make the peak
+    weights, totals = weights.tolist(), [Fraction(t, pushed.den)
+                                         for t in totals.tolist()]
+    rows = [FiberRow(w, totals[t], c, ws) for w, t, c, ws in zip(
+        _words(n, depth, pushed.codes[picked]), total_at.tolist(),
+        support.tolist(), zip(*[iter(weights)] * n))]
+    k_est = int(np.argmax(np.bincount(support)))    # least modal count
+    eta = distinct[0] if len(set(distinct)) == 1 else None
     target = {b: Fraction(e) for b, e in _factorize(k_est)}
     check = abs(_combo_float(_combo_sub(inc, target)))
     dev, _ = _max_deviation(own, pushed)

@@ -7,6 +7,7 @@ whole level instead; the two must agree exactly, array dtypes included.
 """
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -243,6 +244,62 @@ def test_d7_depth6_invariance_holds_no_level_seven():
     assert (rep.max_abs_deviation, rep.worst_word) == (0, None)
     # the whole level 7 alone is 2 * 7**7 entries
     assert peak <= 8 * 7 ** 6 * INT64.itemsize
+
+
+def test_d7_fiber_spectrum_holds_about_its_rows():
+    """The rows of 7**5 image words, each with 7 weights, make most of the
+    peak: the sweep's arrays as long as level 6 are dropped before the rows
+    are built."""
+    rule = ca.from_quasigroup(qg.builtin("D7"))
+    rep, peak = traced_peak(mu.fiber_spectrum, mu.UniformMeasure(7), rule, 5)
+    assert (len(rep.rows), rep.K_estimate, rep.eta_constant,
+            rep.invariance_deviation) == (7 ** 5, 7, F(1, 7), 0)
+    assert peak <= 9.5 * 7 ** 6 * INT64.itemsize
+
+
+def counted_sweeps(monkeypatch):
+    """Counts of uniform chunk builds by depth, of ``_ca_image`` calls and
+    of suffix image builds by depth, as the measure module makes them."""
+    calls = Counter()
+    parts = mu.UniformMeasure._parts
+    ca_image, suffix_images = mu._ca_image, mu._suffix_images
+
+    def counted_parts(self, depth):
+        sizes, build = parts(self, depth)
+
+        def counted_build(lo, hi):
+            calls["build", depth] += 1
+            return build(lo, hi)
+        return sizes, counted_build
+
+    def counted_image(*args):
+        calls["image"] += 1
+        return ca_image(*args)
+
+    def counted_suffix_images(rule, depth):
+        calls["suffix", depth] += 1
+        return suffix_images(rule, depth)
+    monkeypatch.setattr(mu.UniformMeasure, "_parts", counted_parts)
+    monkeypatch.setattr(mu, "_ca_image", counted_image)
+    monkeypatch.setattr(mu, "_suffix_images", counted_suffix_images)
+    return calls
+
+
+def test_d7_sweeps_build_and_image_each_chunk_once(monkeypatch):
+    """Level 5 of the uniform measure is 7 one-slice chunks: the fiber
+    spectrum builds and images each once and builds S_4 once.  The depth-6
+    invariance check builds S_6 once for its 7 chunks of level 7."""
+    rule = ca.from_quasigroup(qg.builtin("D7"))
+    calls = counted_sweeps(monkeypatch)
+    rep = mu.fiber_spectrum(mu.UniformMeasure(7), rule, 4)
+    assert (rep.K_estimate, rep.eta_constant) == (7, F(1, 7))
+    assert (calls["build", 5], calls["image"], calls["suffix", 4]) \
+        == (7, 7, 1)
+    calls.clear()
+    rep = mu.invariance_report(mu.UniformMeasure(7), 6, rule)
+    assert rep.max_abs_deviation == 0
+    assert (calls["build", 7], calls["image"], calls["suffix", 6]) \
+        == (7, 7, 1)
 
 
 def test_whole_slices_of_a_large_table_widen_only_their_rows():
