@@ -333,14 +333,16 @@ class LinearView:
 
 def linear_view(g: GroupTable, rho) -> LinearView | None:
     """Express rho as a matrix over F_p when g is elementary abelian and rho
-    is additive; None when either fails."""
+    is additive; None when either fails.
+
+    The coordinates are an isomorphism of g onto F_p^k, so rho is additive
+    exactly when the matrix of its basis images agrees with it on every
+    element: that one check rejects every other rho."""
     struct = elementary_structure(g)
     if struct is None:
         return None
     p, k = struct
     r = np.asarray(rho, dtype=g.table.dtype)
-    if _non_endomorphism(r, g) is not None:
-        return None
 
     # the greedy generators form a basis; span holds every element reached
     basis = g.generators

@@ -21,10 +21,9 @@ with their images, until the sweep ends.
 A chunk of whole slices with int64 codes, as every chunk of a uniform or
 full-support level is, is imaged by one broadcast add onto the images of
 all words of length d, built once per sweep; a uniform chunk's numerators
-are a zero-stride view of 1.  Any other chunk is stepped j symbols per
-lookup, in the table of step on all words of length j+1, j chosen so that
-the table stays far smaller than the chunk.  Fiber weights are gathered
-with numpy, one Fraction per distinct (numerator, row total).
+are a zero-stride view of 1.  Any other chunk is imaged with one lookup
+in the rule table per image symbol.  Fiber weights are gathered with
+numpy, one Fraction per distinct (numerator, row total).
 """
 from __future__ import annotations
 
@@ -34,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -159,15 +158,6 @@ def _slice_image(rule: LocalRule, lo: int, hi: int, depth: int,
             + suffix.reshape(rule.alphabet_size, -1)).ravel()
 
 
-def _step_table(rule: LocalRule, j: int) -> np.ndarray:
-    """step on every length-(j+1) word, by code: the codes of the images,
-    which have j symbols.  For j = 1 this is the flat rule table itself,
-    not a copy through int64."""
-    if j == 1:
-        return rule.table.ravel()
-    return _suffix_images(rule, j + 1)
-
-
 def _ca_image(rule: LocalRule, codes: np.ndarray, depth: int,
               suffix: Callable | None = None) -> np.ndarray:
     """Codes of step(w) for the length-(depth+1) words w coded by ``codes``,
@@ -176,11 +166,9 @@ def _ca_image(rule: LocalRule, codes: np.ndarray, depth: int,
     int64 codes of whole first-symbol slices are imaged by row broadcast
     (``_slice_image``) on the suffix images S_depth, which a sweep builds
     once: ``suffix`` is its cache of ``_suffix_images`` of the rule.  Other
-    codes are read in windows: each window of j+1 symbols is one
-    base-N**(j+1) digit of the code, looked up in the step table of that
-    length for j image symbols at once, the last depth mod j from a shorter
-    window.  j grows with the number of codes, so the table stays far
-    smaller than they, and few arrays of len(codes) are alive at once."""
+    codes are imaged one symbol at a time: image symbol z is phi(w_z,
+    w_{z+1}), read in the flat rule table at the base-N**2 digit that those
+    two symbols make in the code."""
     n = rule.alphabet_size
     size = n ** depth
     # ascending codes are a run when the span from first to last is their
@@ -191,22 +179,14 @@ def _ca_image(rule: LocalRule, codes: np.ndarray, depth: int,
         lo = codes[0] // size
         return _slice_image(rule, lo, lo + len(codes) // size, depth,
                             (suffix or partial(_suffix_images, rule))(depth))
-    j = 1
-    while j + 1 < depth and n ** (j + 2) <= min(len(codes) // 16, 2 ** 12):
-        j += 1
     # image has the codes' dtype, int64 or object, so the table entries
     # added to it are widened and no step can overflow the table's dtype
-    image = np.zeros_like(codes)
-    table, tail = _step_table(rule, j), depth % j
-    for k in range(depth - j, tail - 1, -j):
+    image, table = np.zeros_like(codes), rule.table.ravel()
+    for k in range(depth - 1, -1, -1):
         window = codes // n ** k
-        window %= n ** (j + 1)
-        image *= n ** j
+        window %= n * n
+        image *= n
         image += table[window.astype(np.int64, copy=False)]
-    if tail:
-        window = codes % n ** (tail + 1)
-        image *= n ** tail
-        image += _step_table(rule, tail)[window.astype(np.int64, copy=False)]
     return image
 
 
@@ -265,9 +245,8 @@ class CylinderMeasure:
     def _slices(self, depth: int) -> list[Callable[[], Level]]:
         """The level of ``depth`` >= 1 as builders of consecutive chunks of
         whole first-symbol slices, in code order and over one denominator.
-        A chunk holds at most N**(depth-1) entries, or a single slice.  A
-        level that fits is one chunk, built once for every reader;
-        otherwise each chunk is built each time it is read."""
+        A chunk holds at most N**(depth-1) entries, or a single slice, and
+        is built when it is read; a level that fits is one chunk."""
         sizes, build = self._parts(depth)
         cap = self.alphabet_size ** (depth - 1)
         parts, lo, total = [], 0, 0
@@ -276,9 +255,6 @@ class CylinderMeasure:
                 parts.append(partial(build, lo, a))
                 lo, total = a, 0
             total += size
-        if not parts:
-            whole = build(0, len(sizes))
-            return [lambda: whole]
         return parts + [partial(build, lo, len(sizes))]
 
     def positive_words(self, depth: int) -> Iterator[tuple[Word, Fraction]]:
@@ -803,8 +779,7 @@ def coset_measure_check(m: CylinderMeasure, g: GroupTable,
         shift_deviation=shift_dev)
 
 
-@dataclass(frozen=True)
-class FiberRow:
+class FiberRow(NamedTuple):
     word: Word
     total_mass: Fraction
     support_count: int

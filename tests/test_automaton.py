@@ -320,3 +320,19 @@ def test_rule_file_errors():
         ca.parse_rule("2 0 1\n0 0 0\n0 1 1\n1 0 1\n1 0 0\n")  # duplicate
     with pytest.raises(ParseError):
         ca.parse_rule("2 0 1\n0 0 0\n")                        # missing rows
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2 0 x\n", 'rule header must be "N l r" with integers'),
+    ("0 0 1\n", "need N >= 1, l >= 0, r >= 0"),
+    ("2 0 1\n0 0 0\n0 1\n1 0 1\n1 1 0\n", "bad neighbourhood line '0 1'"),
+    ("2 0 1\n0 0 0\n0 1 x\n1 0 1\n1 1 0\n",
+     "bad neighbourhood line '0 1 x'"),
+    ("2 0 1\n0 0 0\n0 2 1\n1 0 1\n1 1 0\n",
+     "indices out of range in '0 2 1'"),
+    ("quasigroup a.table b.table\n", "quasigroup line takes one path"),
+])
+def test_rule_file_error_messages(text, message):
+    with pytest.raises(ParseError) as exc:
+        ca.parse_rule(text)
+    assert str(exc.value) == message

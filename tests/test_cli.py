@@ -310,6 +310,61 @@ def test_eca_invsubgroups_and_hmax(capsys, fixture_dir):
     assert code == 0 and out == "h_max=2.80735492206"
 
 
+def test_eca_invsubgroups_with_a_rule_keeps_the_rho_invariant_ones(
+        capsys, tmp_path):
+    from qgca.automaton import format_rule
+    from qgca.eca import affine_matrix_system
+    # phi(a, b) = M a + b on (Z/2)^2, with M of order 3: rho cycles the
+    # three subgroups of order 2, so none of them is invariant
+    g, rule = affine_matrix_system(mf.MatrixFp.from_rows(2, [[0, 1],
+                                                             [1, 1]]))
+    (tmp_path / "k4.group").write_text(format_group(g))
+    (tmp_path / "k4.rule").write_text(format_rule(rule))
+    code, out, _ = run(capsys, "eca", "invsubgroups", tmp_path / "k4.group")
+    assert code == 0 and len(out.splitlines()) == 6      # header + 5 subgroups
+    code, out, _ = run(capsys, "eca", "invsubgroups", tmp_path / "k4.group",
+                       "--rule", tmp_path / "k4.rule")
+    assert (code, out) == (0, "order\tmembers\n1\t00\n4\t00 01 10 11")
+
+
+def test_eca_orbits_names_a_long_cycle_by_its_length(capsys):
+    # rho is multiplication by -2, a unit of order 36 mod 37
+    code, out, _ = run(capsys, "eca", "orbits", "@ledrappier,37,2,1",
+                       "@cyclic,37")
+    assert (code, out) == (0, "orbits=1 single_orbit=True\n"
+                              "(cycle of length 36 from 1)")
+
+
+def test_ca_dual_prints_the_dual_rule(capsys, tmp_path):
+    from qgca.automaton import dual_rule, parse_rule
+    from qgca.fixtures import resolve_rule
+    rule, _ = resolve_rule("@d7")
+    code, out, err = run_raw(capsys, "ca", "dual", "@d7")
+    assert (code, err) == (0, "") and parse_rule(out) == dual_rule(rule)
+    (tmp_path / "dual.rule").write_text(out)
+    code, out, _ = run_raw(capsys, "ca", "dual", tmp_path / "dual.rule")
+    assert code == 0 and parse_rule(out) == rule
+
+
+def test_malformed_rule_file_is_an_input_error(capsys, tmp_path):
+    rule = tmp_path / "bad.rule"
+    rule.write_text("2 0 1\n0 0 0\n0 1 x\n1 0 1\n1 1 0\n")
+    code, out, err = run(capsys, "ca", "step", rule, "0 1")
+    assert (code, out, err) \
+        == (2, "", "input error: bad neighbourhood line '0 1 x'")
+
+
+def test_export_fixtures_verb_lists_what_it_writes(capsys, tmp_path,
+                                                   fixture_dir):
+    code, out, err = run(capsys, "export-fixtures", tmp_path / "fx")
+    assert (code, err) == (0, "")
+    names = out.splitlines()
+    assert sorted(names) == sorted(p.name for p in fixture_dir.iterdir())
+    for name in names:
+        assert (tmp_path / "fx" / name).read_text() \
+            == (fixture_dir / name).read_text()
+
+
 def test_exported_fixtures_roundtrip(fixture_dir):
     assert load_table(fixture_dir / "d7.table") == qg.builtin("D7")
     assert load_matrix(fixture_dir / "m7.matrix") == M7_MATRIX

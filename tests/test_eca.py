@@ -874,6 +874,22 @@ def test_linear_view_rejects_a_matrix_that_misses_rho(monkeypatch):
     assert eca.linear_view(g, rho) is None
 
 
+def test_lemma_audit_is_undecided_without_a_subgroup_answer():
+    """Past 64 elements subgroups are not enumerated.  Cyclic 128 then has
+    no linear view to fall back on, and (Z/2)^10 has one whose invariant
+    subspaces exceed their bound."""
+    c128 = gr.cyclic_group(128)
+    cases = [(c128, ca.from_quasigroup(c128.quasigroup()), False),
+             (*eca.affine_matrix_system(mf.MatrixFp.identity(2, 10)), True)]
+    for g, rule, linear in cases:
+        rep = eca.lemma_audit(g, rule)
+        assert (rep.kernel_lemma_verdict, rep.subgroup_method,
+                rep.has_invariant_subgroup, rep.subgroup_witness,
+                rep.linear, rep.has_invariant_subspace,
+                rep.rcf_lemma_verdict) \
+            == ("UNDECIDED", "unavailable", None, None, linear, None, None)
+
+
 def test_subspace_to_subgroup_is_closed():
     g, rule = eca.affine_matrix_system(
         mf.MatrixFp.from_rows(7, [[0, 0, 0, 1], [1, 0, 0, 1],

@@ -313,6 +313,15 @@ def test_fiber_spectrum_uniform(d7):
     assert all(v == F(1, 7) for r in rep.rows for v in r.weights)
 
 
+def test_fiber_rows_are_immutable_records(d7):
+    row = mu.fiber_spectrum(mu.UniformMeasure(7), ca.from_quasigroup(d7),
+                            1).rows[3]
+    assert (row.word, row.total_mass, row.support_count, row.weights) \
+        == ((3,), F(1, 7), 7, (F(1, 7),) * 7)
+    with pytest.raises(AttributeError):
+        row.support_count = 1
+
+
 def test_fiber_spectrum_example11():
     c2 = cyclic_group(2)
     rule = ca.from_quasigroup(qg.builtin_from_spec("product cyclic 2 quaternion"))
@@ -404,6 +413,14 @@ def test_support_alphabet_uniform():
 def test_support_alphabet_depth_guard():
     with pytest.raises(BadParams):
         mu.support_alphabet(mu.UniformMeasure(2), 1)
+
+
+def test_support_alphabet_bound_counts_support_words():
+    """The bound is on words over the 6 support symbols, not the 16 of the
+    alphabet: 6**8 words exceed it."""
+    with pytest.raises(DepthTooLarge) as exc:
+        mu.support_alphabet(mu.example11(cyclic_group(2)), 8)
+    assert str(exc.value) == "6^8 cylinder words exceed bound 1048576"
 
 
 # ---------------------------------------------------------------------------

@@ -168,18 +168,18 @@ def test_ca_image_matches_step_on_decoded_words(data, n, depth):
 
 def images_with_path(rule, codes, depth):
     """The image of ``codes`` and whether it was made by row broadcast, the
-    one path that reads no step table."""
+    one path that calls ``_slice_image``."""
     calls = []
 
-    def spy(rule, j):
-        calls.append(j)
-        return step_table(rule, j)
+    def spy(*args):
+        calls.append(args)
+        return slice_image(*args)
 
-    step_table = mu._step_table
+    slice_image = mu._slice_image
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mu, "_step_table", spy)
+        mp.setattr(mu, "_slice_image", spy)
         image = mu._ca_image(rule, codes, depth)
-    return image, not calls
+    return image, bool(calls)
 
 
 @settings(max_examples=120)
@@ -215,8 +215,8 @@ def test_whole_slices_are_imaged_by_row_broadcast(data, n):
 
 
 def test_ca_image_of_python_int_codes_matches_step():
-    """Codes past 2**63 are Python ints; enough of them for two-symbol
-    windows, with and without a one-symbol tail."""
+    """Codes past 2**63 are Python ints, imaged one two-symbol window per
+    image symbol at an odd and an even depth."""
     rule = random_bipermutative_rule(16, random.Random(16))
     for depth in (15, 16):
         count = 2 ** 16 + 5
@@ -226,6 +226,19 @@ def test_ca_image_of_python_int_codes_matches_step():
         at = [0, 1, count - 1, *range(2, count, 997)]
         assert image.dtype == object
         assert image[at].tolist() == stepped_codes(rule, codes, depth, at)
+
+
+def test_windowed_images_build_no_suffix_images(monkeypatch):
+    """A long run that is not whole slices is imaged from the rule table
+    alone: no images of longer words are built for it."""
+    rule = ca.from_quasigroup(qg.builtin("ledrappier", [2, 1, 1]))
+    built = []
+    monkeypatch.setattr(mu, "_suffix_images",
+                        lambda rule, depth: built.append(depth))
+    codes = np.arange(100, 4100)
+    image = mu._ca_image(rule, codes, 11)
+    assert built == [] and image.dtype == INT64
+    assert image.tolist() == stepped_codes(rule, codes, 11, slice(None))
 
 
 def traced_peak(fn, *args):
