@@ -135,7 +135,7 @@ def step(rule: LocalRule, word: Sequence[int]) -> tuple[int, ...]:
         raise WordTooShort(len(w), m + 1)
     rows = rule._pair_rows
     if rows is not None:
-        return tuple(rows[w[i]][w[i + 1]] for i in range(len(w) - 1))
+        return tuple([rows[a][b] for a, b in zip(w, w[1:])])
     t = rule.table
     return tuple(int(t[w[i:i + m + 1]]) for i in range(len(w) - m))
 

@@ -13,12 +13,14 @@ the path ``argv`` names (the top parser, the group's, the verb's); help,
 usage and error output are the same as from the full parser, which it
 builds when ``argv`` names no verb.
 
-Exit codes: 0 success, 1 analysis failure or falsification, 2 bad input,
-3 resource bound exceeded.
+Exit codes: 0 success, or output cut off by a reader that closed stdout
+early (the result is then unknown), 1 analysis failure or falsification, 2
+bad input, 3 resource bound exceeded.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -533,7 +535,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv).parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # a reader gone before the buffered report is written fails here,
+        # not in the interpreter's flush at exit
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -543,6 +549,14 @@ def main(argv=None) -> int:
     except AnalysisError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): the output is cut off, not
+        # an error; what is still buffered goes to the null device so the
+        # flush at exit is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product, zip_longest
+from itertools import combinations, islice, product, zip_longest
 from typing import Callable, Sequence
 
 import numpy as np
@@ -481,48 +481,129 @@ def _cyclic_subspaces(m: MatrixFp) -> dict[tuple[Vec, ...], Vec]:
     return seeds
 
 
-def invariant_subspaces(m: MatrixFp) -> list[tuple[Vec, ...]]:
-    """All nonzero proper M-invariant subspaces, as canonical RREF bases.
+def _primary_components(m: MatrixFp, roots: Sequence[int]
+                        ) -> list[tuple[Vec, ...]]:
+    """RREF bases of V_λ = ker (M - λ)^n for each root λ, then of the rest,
+    the image of the product of those powers: the sum of the primary
+    components without a linear factor, which may be 0.
 
-    An invariant subspace U is the sum of the cyclic subspaces C(v), v in U,
-    and C(v) lies in U exactly when v does.  So the subspaces are the closed
-    sets of :func:`closed_sets` over the distinct proper cyclic subspaces,
-    which :func:`_cyclic_subspaces` finds in one batched elimination: a step
-    adds one to the basis and finds which the sum holds by reducing a
-    generating vector of each, all in one numpy pass.
+    Each power A is M - λ squared until its exponent is at least n.  The
+    rows of the RREF of [A^T | I] whose left half is zero hold a basis of
+    ker A in their right half, already canonical there, since no other row
+    has a pivot in it.
     """
     p, n = m.p, m.n
-    if p ** n > SUBSPACE_ENUMERATION_BOUND:
-        raise TooLarge(f"{p}^{n} vectors exceed bound {SUBSPACE_ENUMERATION_BOUND}")
-    seeds = _cyclic_subspaces(m)
-    atoms = list(seeds)
-    # each atom is a member, and so is every subspace of an eigenspace but
-    # 0 and itself; an eigenspace of c lines has dimension log_p(c(p-1) + 1)
-    lines = Counter(m.vec(b[0])[b[0].index(1)] for b in atoms if len(b) == 1)
-    least = sum(_gaussian_subspace_count(p, round(math.log(c * (p - 1) + 1, p)))
-                - 2 for c in lines.values())
-    if max(len(atoms), least) > SUBSPACE_FAMILY_BOUND:
-        raise TooLarge(f"invariant subspace family exceeds {SUBSPACE_FAMILY_BOUND}")
-    gens = np.array(list(zip(*seeds.values())), float)     # by columns
+    mat, eye = np.array(m.rows, dtype=np.int64), np.eye(n, dtype=np.int64)
+    rest, out = eye, []
+    for lam in roots:
+        a = (mat - lam * eye) % p
+        for _ in range((n - 1).bit_length()):
+            a = a @ a % p
+        rest = rest @ a % p
+        red = rref(np.hstack([a.T, eye]).tolist(), p)
+        out.append(tuple(r[n:] for r in red if not any(r[:n])))
+    return out + [rref(rest.T.tolist(), p)]
+
+
+def _closed_subspaces(atoms: list[tuple[Vec, ...]], gens: np.ndarray, dim: int,
+                      p: int) -> list[tuple[Vec, ...]]:
+    """The invariant subspaces of a dim-dimensional component, but 0 and the
+    component itself, as the closed sets of :func:`closed_sets` over the
+    cyclic subspaces ``atoms`` in it, generated by the rows of ``gens``.
+
+    A step adds one atom to the basis and finds which atoms the sum holds
+    by reducing the generator of each, all in one numpy pass.
+    """
+    gens = gens.T.astype(float)                     # by columns
 
     def close(x, j):
         for row in atoms[j]:
             x = _insert(x, row, p)
-        if len(x) < n:         # else the whole space: left out
+        if len(x) < dim:       # else the whole component: left out
             # each RREF row is zero in the pivot columns of the others, and
             # float sums of n products of residues are exact below 2**53
             red = gens - np.array(x, float).T @ gens[[r.index(1) for r in x]]
             inside = np.packbits(~np.fmod(red, p).any(0), bitorder="little")
             return int.from_bytes(inside.tobytes(), "little"), x
 
-    family = closed_sets(len(atoms), close, SUBSPACE_FAMILY_BOUND,
-                         "invariant subspace family")
-    for basis in family:       # re-verify invariance of everything returned
-        for row in basis:
-            if not in_span(basis, m.vec(row), p):
-                raise QgcaError("closed-set enumeration produced a "
-                                "non-invariant subspace")
-    return sorted(family, key=lambda b: (len(b), b))
+    return closed_sets(len(atoms), close, SUBSPACE_FAMILY_BOUND,
+                       "invariant subspace family")
+
+
+def invariant_subspaces(m: MatrixFp) -> list[tuple[Vec, ...]]:
+    """All nonzero proper M-invariant subspaces, as canonical RREF bases.
+
+    An invariant U is the direct sum of its parts U ∩ V in the components
+    V of :func:`_primary_components` (Gohberg, Lancaster and Rodman,
+    *Invariant Subspaces of Matrices with Applications*, 1986, ch. 2).  The
+    roots λ are the eigenvalues of the lines among the cyclic subspaces
+    that :func:`_cyclic_subspaces` finds, so no residue of F_p is scanned.
+    Where M acts on V_λ as λI, every subspace of V_λ is invariant: they are
+    counted by :func:`_gaussian_subspace_count` and listed by
+    :func:`_subspace_blocks`.  Every other component is searched by
+    :func:`_closed_subspaces` over the cyclic subspaces C(v) that lie in it,
+    since U is the sum of the C(v), v in U.  The family is the product of
+    the component families, each with 0 and the whole component, less the
+    zero and whole sums.  Its size goes to the bound before any subspace
+    is listed.  The sums, padded with zero rows to n x n, are reduced to
+    canonical bases in one batched elimination and re-verified in one pass.
+    """
+    p, n = m.p, m.n
+    if p ** n > SUBSPACE_ENUMERATION_BOUND:
+        raise TooLarge(f"{p}^{n} vectors exceed bound {SUBSPACE_ENUMERATION_BOUND}")
+    seeds = _cyclic_subspaces(m)
+    # a line's eigenvalue is its image at the pivot, where the line has a 1
+    lines = Counter(m.vec(b[0])[b[0].index(1)] for b in seeds if len(b) == 1)
+    roots = sorted(lines)
+    gens = np.array(list(seeds.values()), dtype=np.int64).reshape(-1, n)
+    parts = []          # (basis, atoms of a searched component or None)
+    for i, basis in enumerate(_primary_components(m, roots)):
+        # M is λI on V_λ when every line of V_λ is an eigenline of λ
+        if i < len(roots) and lines[roots[i]] * (p - 1) + 1 == p ** len(basis):
+            parts.append((basis, None))
+        elif basis:
+            k = np.array(basis, dtype=np.int64)
+            off = (gens - gens[:, [r.index(1) for r in basis]] @ k) % p
+            parts.append((basis, np.flatnonzero(~off.any(1)).tolist()))
+    bound = SUBSPACE_FAMILY_BOUND
+    too_many = f"invariant subspace family exceeds {bound}"
+    # each atom is a member, and a searched component has 0 and its atoms
+    least = math.prod(len(a) + 1 if a is not None else
+                      _gaussian_subspace_count(p, len(b)) for b, a in parts)
+    if max(len(seeds), least - 2) > bound:
+        raise TooLarge(too_many)
+    atoms = list(seeds)
+    found = [a if a is None else
+             _closed_subspaces([atoms[j] for j in a], gens[a], len(b), p)
+             for b, a in parts]
+    total = math.prod(len(f) + 2 if f is not None else
+                      _gaussian_subspace_count(p, len(b))
+                      for (b, _), f in zip(parts, found)) - 2
+    if total > bound:
+        raise TooLarge(too_many)
+    families = []
+    for (basis, _), f in zip(parts, found):
+        if f is None:
+            k = np.array(basis, dtype=np.int64)
+            f = [rows for dim in range(1, len(basis))
+                 for block in _subspace_blocks(p, len(basis), dim)
+                 for rows in (block @ k % p).tolist()]
+        families.append([(), *f, basis])
+    sums = [[row for part in choice for row in part]
+            for choice in islice(product(*families), 1, total + 1)]
+    red = np.array([rows + [(0,) * n] * (n - len(rows)) for rows in sums],
+                   dtype=np.int64).reshape(total, n, n)
+    red, _ = _rref_stack(red, p)
+    # re-verify invariance: M v is the sum of its pivot entries times the
+    # basis rows, for every row v of every basis, and the zero rows below
+    img = red @ np.array(m.rows, dtype=np.int64).T % p
+    piv = np.broadcast_to((red != 0).argmax(2)[:, None, :], red.shape)
+    if ((img - np.take_along_axis(img, piv, 2) @ red) % p).any():
+        raise QgcaError("closed-set enumeration produced a "
+                        "non-invariant subspace")
+    return sorted((tuple(map(tuple, basis[:len(rows)]))
+                   for basis, rows in zip(red.tolist(), sums)),
+                  key=lambda b: (len(b), b))
 
 
 EXHAUSTIVE_VECTOR_BOUND = 2 ** 14
@@ -540,9 +621,26 @@ def _gaussian_subspace_count(p: int, n: int) -> int:
     return total
 
 
+def _subspace_blocks(p: int, n: int, k: int):
+    """Every k-dimensional subspace of F_p^n as its canonical RREF basis,
+    in one (count, k, n) int64 stack per set of pivot columns, the sets in
+    combinations order.  Row i has its 1 in pivot column i; its entries
+    right of that and outside the other pivot columns are free, and run
+    through range(p) in product order down the stack."""
+    for pivots in combinations(range(n), k):
+        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n)
+                if j not in pivots]
+        block = np.zeros((p ** len(free), k, n), dtype=np.int64)
+        block[:, range(k), pivots] = 1
+        if free:
+            block[(slice(None), *zip(*free))] = np.column_stack(
+                unpack_digits(p, len(free), np.arange(len(block))))
+        yield block
+
+
 def invariant_subspaces_exhaustive(m: MatrixFp) -> list[tuple[Vec, ...]]:
     """Independent enumeration strategy: every subspace, generated as a
-    reduced-echelon basis (pivot columns then free entries), filtered for
+    reduced-echelon basis by :func:`_subspace_blocks`, filtered for
     invariance.  Feasible only for small spaces; used to cross-check
     :func:`invariant_subspaces`."""
     p, n = m.p, m.n
@@ -552,16 +650,9 @@ def invariant_subspaces_exhaustive(m: MatrixFp) -> list[tuple[Vec, ...]]:
         raise TooLarge("too many subspaces for exhaustive enumeration")
     out = []
     for k in range(1, n):
-        for pivots in combinations(range(n), k):
-            free = [(i, j) for i in range(k) for j in range(n)
-                    if j > pivots[i] and j not in pivots]
-            for values in product(range(p), repeat=len(free)):
-                rows = [[0] * n for _ in range(k)]
-                for i in range(k):
-                    rows[i][pivots[i]] = 1
-                for (i, j), v in zip(free, values):
-                    rows[i][j] = v
-                basis = tuple(tuple(r) for r in rows)
+        for block in _subspace_blocks(p, n, k):
+            for rows in block.tolist():
+                basis = tuple(map(tuple, rows))
                 if all(in_span(basis, m.vec(r), p) for r in basis):
                     out.append(basis)
     return sorted(out, key=lambda b: (len(b), b))

@@ -2,12 +2,13 @@
 
 These deliberately avoid the library's own enumeration strategies: Latin
 squares and permutative rules by per-line scans, closed subsets by bitmask
-scan, pushforwards by full preimage enumeration, cyclic subspaces by
-per-vector Krylov insertion, and invariant factors by Smith normal form of
-xI - M over F_p[x].  The measure sweeps are the recursive per-word engine
-the level arrays replaced: a depth-first walk over words in lexicographic
-order, pruning zero-mass subtrees, with every mass from
-``CylinderMeasure.eval``.  The whole-level
+scan, pushforwards by full preimage enumeration, CA images by the
+automaton's own ``step``, cyclic subspaces by per-vector Krylov insertion,
+invariant subspaces by a closed-set search over all of them, and invariant
+factors by Smith normal form of xI - M over F_p[x].  The measure sweeps are
+the recursive per-word engine the level arrays replaced: a depth-first walk
+over words in lexicographic order, pruning zero-mass subtrees, with every
+mass from ``CylinderMeasure.eval``.  The whole-level
 pushforwards are the level engine's first form, which the sliced levels
 replaced: a base's whole level d+1 mapped, sorted and summed by code.
 """
@@ -20,6 +21,7 @@ from itertools import product
 
 import numpy as np
 
+from qgca.automaton import step
 from qgca.errors import (AlphabetSizeMismatch, BadEntry, BadParams,
                          DepthTooLarge, DuplicateInColumn, DuplicateInRow,
                          NotASubgroup)
@@ -31,6 +33,7 @@ from qgca.measure import (WORD_ENUMERATION_BOUND, ZERO, ONE,
                           _check_depth, _combo_float, _combo_sub, _factorize,
                           _log2_exponents, conditional_dist, pushforward_ca,
                           pushforward_shift)
+from qgca.quasigroup import closed_sets
 
 
 def latin_check(table) -> None:
@@ -183,14 +186,19 @@ def pushforward_bruteforce(m, rule, word) -> Fraction:
 
 
 def _ca_image(rule, codes, depth):
-    """Codes of step(w) for the length-(depth+1) words w coded by ``codes``,
-    read pair by pair off the code."""
-    n, flat = rule.alphabet_size, rule.table.ravel()
-    image = np.zeros_like(codes)
-    for k in range(depth - 1, -1, -1):
-        pair = (codes // n ** k % (n * n)).astype(np.int64, copy=False)
+    """Codes of step(w) for the length-(depth+1) words w coded by ``codes``:
+    the words are decoded digit by digit, laid end to end and imaged by one
+    ``automaton.step`` call, whose symbol at each seam between two words is
+    dropped, and each image is re-encoded."""
+    n, image = rule.alphabet_size, np.zeros_like(codes)
+    if depth == 0 or not len(codes):
+        return image
+    digits = [codes // n ** k % n for k in range(depth, -1, -1)]
+    stepped = step(rule, np.stack(digits, axis=1).ravel().tolist())
+    symbols = np.array(stepped + (0,), dtype=codes.dtype)
+    for column in symbols.reshape(-1, depth + 1)[:, :depth].T:
         image *= n
-        image += flat[pair]
+        image += column
     return image
 
 
@@ -249,6 +257,31 @@ def cyclic_subspace(m: MatrixFp, v: Vec) -> tuple[Vec, ...]:
         basis = _insert(basis, w, m.p)
         w = m.vec(w)
     return basis
+
+
+def invariant_subspaces_all_atoms(m: MatrixFp) -> list[tuple[Vec, ...]]:
+    """Every nonzero proper invariant subspace, as a closed set of
+    ``closed_sets`` over all the proper cyclic subspaces, with no primary
+    decomposition.  The cyclic subspaces come one line at a time from
+    :func:`cyclic_subspace`, and a sum holds a cyclic subspace when it
+    spans the vector that generates it."""
+    p, n = m.p, m.n
+    seeds = {}
+    for v in product(range(p), repeat=n):
+        if next((x for x in v if x), 0) == 1:
+            basis = cyclic_subspace(m, v)
+            if len(basis) < n:
+                seeds[basis] = v
+    atoms, gens = list(seeds), list(seeds.values())
+
+    def close(x, j):
+        for row in atoms[j]:
+            x = _insert(x, row, p)
+        if len(x) < n:
+            return sum(1 << i for i, v in enumerate(gens)
+                       if in_span(x, v, p)), x
+
+    return sorted(closed_sets(len(atoms), close), key=lambda b: (len(b), b))
 
 
 def snf_invariant_factors(m: MatrixFp) -> tuple[Poly, ...]:

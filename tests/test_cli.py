@@ -1,4 +1,6 @@
 import argparse
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -73,6 +75,26 @@ def test_removed_options_are_usage_errors(capsys, argv):
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "qg", "validate", "/nonexistent/x.table")
     assert code == 2
+
+
+@pytest.mark.parametrize("flags", [[], ["-u"]],
+                         ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_is_not_an_error(flags):
+    """A reader that closes the pipe before the report is written, as
+    ``| head`` may, leaves exit 0 and nothing on stderr, whether the short
+    report is still in the stdout buffer when the verb returns or not."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, *flags, "-m", "qgca.cli", "ca",
+                               "dual", "@d7"], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_qg_sub_output(capsys, fixture_dir):

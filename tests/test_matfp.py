@@ -8,7 +8,8 @@ from qgca import matfp as mf
 from qgca.errors import (BadParams, BoundError, ParseError, QgcaError,
                          TooLarge)
 
-from oracles import cyclic_subspace, snf_invariant_factors
+from oracles import (cyclic_subspace, invariant_subspaces_all_atoms,
+                     snf_invariant_factors)
 
 M7 = mf.MatrixFp.from_rows(7, [[0, 0, 0, 1],
                                [1, 0, 0, 1],
@@ -353,6 +354,77 @@ def test_batched_cyclic_subspaces_match_the_per_line_oracle(m):
                 expect[basis] = v
     assert list(mf._cyclic_subspaces(m).items()) == list(expect.items())
     assert mf.invariant_subspaces(m) == mf.invariant_subspaces_exhaustive(m)
+
+
+def test_scalar_components_are_listed_without_a_search(monkeypatch):
+    """The identity over F_7^4 and F_5^4 and diag(1, 1, 2) over F_3 act as a
+    scalar on each eigenspace, so their subspaces are counted and listed
+    and no closed set is searched; the Jordan block over F_2 is searched."""
+    calls = []
+    closed_sets = mf.closed_sets
+
+    def spy(*args):
+        calls.append(args)
+        return closed_sets(*args)
+
+    monkeypatch.setattr(mf, "closed_sets", spy)
+    ident = mf.MatrixFp.identity(7, 4)
+    spaces = mf.invariant_subspaces(ident)
+    # the Gaussian binomials [4 choose k]_7 for k = 1, 2, 3
+    assert len(spaces) == 400 + 2850 + 400 == 3650
+    assert spaces == mf.invariant_subspaces_exhaustive(ident)
+    assert len(mf.invariant_subspaces(mf.MatrixFp.identity(5, 4))) == 1118
+    diag = mf.MatrixFp.from_rows(3, [[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+    assert len(mf.invariant_subspaces(diag)) == 10
+    assert calls == []
+    jordan = mf.MatrixFp.from_rows(2, [[1, 1], [0, 1]])
+    assert mf.invariant_subspaces(jordan) == [((1, 0),)]
+    assert len(calls) == 1
+
+
+@st.composite
+def block_sums(draw):
+    """A block sum over F_p (p in 2, 3, 5, 7) of scalar, Jordan and
+    companion blocks, a random matrix, or M7 and its negative.  Dimensions
+    stay at p^n <= 343, and at n <= 5 over F_2 and n <= 4 over F_3, so the
+    all-atom search stays quick."""
+    kind = draw(st.sampled_from(["blocks"] * 4 + ["random", "m7", "m7neg"]))
+    if kind in ("m7", "m7neg"):
+        return M7 if kind == "m7" else M7.neg()
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    top = {2: 5, 3: 4, 5: 3, 7: 3}[p]
+    entries = st.integers(0, p - 1)
+    if kind == "random":
+        n = draw(st.integers(1, top))
+        return mf.MatrixFp.from_rows(p, draw(st.lists(
+            st.lists(entries, min_size=n, max_size=n), min_size=n,
+            max_size=n)))
+    blocks = []
+    while not blocks or (sum(map(len, blocks)) < top and draw(st.booleans())):
+        k = draw(st.integers(1, top - sum(map(len, blocks))))
+        shape, lam = draw(st.sampled_from(["scalar", "jordan",
+                                           "companion"])), draw(entries)
+        if shape == "companion":
+            f = (*draw(st.lists(entries, min_size=k, max_size=k)), 1)
+            blocks.append(mf.companion_matrix(f, p).rows)
+        else:
+            blocks.append([[lam * (i == j) + (shape == "jordan" and j == i + 1)
+                            for j in range(k)] for i in range(k)])
+    n, rows, at = sum(map(len, blocks)), [], 0
+    for block in blocks:
+        rows += [[0] * at + list(r) + [0] * (n - at - len(r)) for r in block]
+        at += len(block)
+    return mf.MatrixFp.from_rows(p, rows)
+
+
+@settings(max_examples=100)
+@given(m=block_sums())
+def test_primary_decomposition_matches_the_other_strategies(m):
+    """The component-wise family is the exhaustive filter's and the
+    all-atom closed-set search's, the same sorted RREF list."""
+    spaces = mf.invariant_subspaces(m)
+    assert spaces == mf.invariant_subspaces_exhaustive(m)
+    assert spaces == invariant_subspaces_all_atoms(m)
 
 
 def test_line_representatives_are_the_lines_in_product_order():

@@ -186,20 +186,28 @@ def images_with_path(rule, codes, depth):
 @given(data=st.data(), n=st.integers(2, 9))
 def test_whole_slices_are_imaged_by_row_broadcast(data, n):
     """int64 codes of the whole first-symbol slices lo..hi-1 take the dense
-    path and match the pair-by-pair oracle on every code and the automaton
+    path and match the stepped-word oracle on every code and the automaton
     on drawn codes; a run one code short, shifted by one or starting
     mid-slice, and the same slices as Python ints, take the windowed path
-    and match the oracle too."""
+    and match the oracle too.  Every run is a range of codes, so the oracle
+    images the range one code wider on each side once, and each run is
+    checked against its part of that."""
     top = max(d for d in range(17) if n ** (d + 1) <= 2 ** 17)
     depth = data.draw(st.integers(0, top))
     rule = data.draw(rules(n))
     lo = data.draw(st.integers(0, n - 1))
     hi = data.draw(st.integers(lo + 1, n))
     size = n ** depth
+    first = max(lo * size - 1, 0)
+    expect = oracles._ca_image(
+        rule, np.arange(first, min(hi * size + 1, n * size)), depth).tolist()
+
+    def oracle(run):
+        return expect[run[0] - first:run[-1] - first + 1]
     codes = np.arange(lo * size, hi * size, dtype=np.int64)
     image, dense = images_with_path(rule, codes, depth)
     assert dense and image.dtype == INT64
-    assert image.tolist() == oracles._ca_image(rule, codes, depth).tolist()
+    assert image.tolist() == oracle(codes)
     if depth == 0:
         return      # every run of one-symbol words is whole slices
     at = sorted({0, len(codes) - 1, *data.draw(st.lists(
@@ -211,7 +219,7 @@ def test_whole_slices_are_imaged_by_row_broadcast(data, n):
     for run in near:
         image, dense = images_with_path(rule, run, depth)
         assert not dense and image.dtype == run.dtype
-        assert image.tolist() == oracles._ca_image(rule, run, depth).tolist()
+        assert image.tolist() == oracle(run)
 
 
 def test_ca_image_of_python_int_codes_matches_step():
