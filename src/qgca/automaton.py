@@ -45,11 +45,9 @@ class LocalRule:
         return int(self.table[neighbourhood])
 
     @cached_property
-    def _pair_rows(self) -> tuple[tuple[int, ...], ...] | None:
-        # fast python-int lookup for nearest-neighbour rules on small alphabets
-        if self.arity == 2 and self.alphabet_size <= _SMALL_ALPHABET:
-            return tuple(tuple(r) for r in self.table.tolist())
-        return None
+    def _pair_rows(self):
+        """rows[a][b] = table[a, b] as a Python int, for two-symbol windows."""
+        return _int_rows(self.table) if self.arity == 2 else None
 
     @cached_property
     def _bipermutative(self) -> bool:
@@ -63,14 +61,9 @@ class LocalRule:
         return row_inverses(self.table)
 
     @cached_property
-    def solve(self) -> Callable[[int, int], int]:
-        """solve(a, v) = the b with table[a, b] = v, read from python-int
-        rows on small alphabets and from the numpy table above that."""
-        rows = self._solve_rows
-        if self.alphabet_size <= _SMALL_ALPHABET:
-            rows = tuple(tuple(r) for r in rows.tolist())
-            return lambda a, v: rows[a][v]
-        return lambda a, v: int(rows[a, v])
+    def solve(self):
+        """solve[a][v] = the b with table[a, b] = v, as a Python int."""
+        return _int_rows(self._solve_rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LocalRule):
@@ -83,6 +76,15 @@ class LocalRule:
     def __repr__(self) -> str:
         return (f"LocalRule(N={self.alphabet_size}, l={self.left_radius}, "
                 f"r={self.right_radius})")
+
+
+def _int_rows(table: np.ndarray):
+    """Rows of an n x n table indexed rows[a][b] to a Python int: tuples of
+    ints on small alphabets, memoryviews of the numpy rows above that, so no
+    n^2 Python ints are built."""
+    if len(table) <= _SMALL_ALPHABET:
+        return tuple(map(tuple, table.tolist()))
+    return tuple(map(memoryview, table))
 
 
 def make_rule(alphabet_size: int, left_radius: int, right_radius: int,
@@ -130,12 +132,12 @@ def _require_bipermutative(rule: LocalRule) -> None:
 def step(rule: LocalRule, word: Sequence[int]) -> tuple[int, ...]:
     """One application of the rule; the word shrinks by arity - 1."""
     w = tuple(word)
+    rows = rule._pair_rows
+    if rows is not None and len(w) > 1:
+        return tuple([rows[a][b] for a, b in zip(w, w[1:])])
     m = rule.arity - 1
     if len(w) < m + 1:
         raise WordTooShort(len(w), m + 1)
-    rows = rule._pair_rows
-    if rows is not None:
-        return tuple([rows[a][b] for a, b in zip(w, w[1:])])
     t = rule.table
     return tuple(int(t[w[i:i + m + 1]]) for i in range(len(w) - m))
 
@@ -168,6 +170,19 @@ def orbit_period(rule: LocalRule, word: Sequence[int]) -> tuple[int, int]:
     return first, t - first
 
 
+def _walk(solve, starts, word: Sequence[int]) -> list[tuple[int, ...]]:
+    """The preimage of word from each first symbol b in starts: x0 = b and
+    x_{i+1} = solve[x_i][word_i]."""
+    out = []
+    for b in starts:
+        x = [b]
+        for v in word:
+            b = solve[b][v]
+            x.append(b)
+        out.append(tuple(x))
+    return out
+
+
 def fiber_preimages(rule: LocalRule, word: Sequence[int]) -> list[tuple[int, ...]]:
     """The N preimages of ``word`` under one step, indexed by first symbol.
 
@@ -175,15 +190,7 @@ def fiber_preimages(rule: LocalRule, word: Sequence[int]) -> list[tuple[int, ...
     unique symbol with phi(x_i, x_{i+1}) = word_i.
     """
     _require_bipermutative(rule)
-    w = tuple(word)
-    solve = rule.solve
-    out = []
-    for b in range(rule.alphabet_size):
-        x = [b]
-        for v in w:
-            x.append(solve(x[-1], v))
-        out.append(tuple(x))
-    return out
+    return _walk(rule.solve, range(rule.alphabet_size), tuple(word))
 
 
 def tau(rule: LocalRule, word: Sequence[int]) -> tuple[int, ...]:
@@ -196,41 +203,36 @@ def tau(rule: LocalRule, word: Sequence[int]) -> tuple[int, ...]:
     if len(w) < 2:
         raise WordTooShort(len(w), 2)
     _require_bipermutative(rule)
-    image = step(rule, w)
     b = (w[0] + 1) % rule.alphabet_size
-    return fiber_preimages(rule, image)[b]
+    return _walk(rule.solve, (b,), step(rule, w))[0]
+
+
+def _heads(rows, word: Sequence[int]) -> tuple[int, ...]:
+    """First symbols of word, of its image [rows[a][b] for each window ab],
+    and so on down to one symbol; each image overwrites the word in place."""
+    cur, out = list(word), []
+    for m in range(len(cur) - 1, -1, -1):
+        out.append(cur[0])
+        for i in range(m):
+            cur[i] = rows[cur[i]][cur[i + 1]]
+    return tuple(out)
 
 
 def xi(rule: LocalRule, word: Sequence[int]) -> tuple[int, ...]:
     """Trajectory-of-first-symbols map: output t is (step^t word)[0]."""
     if not rule.is_rnnca:
         raise NotBipermutative("rule is not nearest-neighbour")
-    cur = tuple(word)
-    out = []
-    while cur:
-        out.append(cur[0])
-        cur = step(rule, cur) if len(cur) > 1 else ()
-    return tuple(out)
+    return _heads(rule._pair_rows, word)
 
 
 def xi_inverse(rule: LocalRule, word: Sequence[int]) -> tuple[int, ...]:
     """The unique preimage of ``word`` under :func:`xi`.
 
     Column t of the space-time triangle is recovered from column t-1 by
-    right-cancellation, left to right.
+    right-cancellation, left to right: xi of the dual rule.
     """
     _require_bipermutative(rule)
-    b = tuple(word)
-    n = len(b)
-    if n == 0:
-        return ()
-    solve = rule.solve
-    col = list(b)                 # col[t] = (step^t a)[j] for current column j
-    out = [col[0]]
-    for _ in range(n - 1):
-        col = [solve(col[t], col[t + 1]) for t in range(len(col) - 1)]
-        out.append(col[0])
-    return tuple(out)
+    return _heads(rule.solve, word)
 
 
 def dual_rule(rule: LocalRule) -> LocalRule:

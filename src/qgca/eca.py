@@ -26,7 +26,8 @@ from .quasigroup import (CLOSURE_ORDER_BOUND, pack_digits, row_blocks,
 
 @dataclass(frozen=True)
 class AffineDecomposition:
-    """phi(a, b) = phi0(a) + phi1(b) with both maps endomorphisms."""
+    """phi(a, b) = phi0(a).phi1(b), or phi0(a) + phi1(b) over an abelian
+    group, with both maps endomorphisms."""
 
     phi0: tuple[int, ...]
     phi1: tuple[int, ...]
@@ -43,15 +44,15 @@ def _check_alphabet(rule: LocalRule, g: GroupTable) -> None:
                                    "group", g.order)
 
 
-_BLOCK = 2 ** 17
+_BLOCK = 2 ** 16
 
 
 def _first(mask_rows, n: int) -> tuple[int, int] | None:
     """Row-major (a, b) of the first True entry of an n x n mask, read one
-    row block at a time from mask_rows(rows), or None.  Each mask gathers a
-    block twice, once by rows and once by columns, so the blocks hold about
-    2**17 entries: half the usual size keeps the gathers in cache and the
-    peak low."""
+    row block at a time from mask_rows(rows), or None.  The blocks hold
+    about 2**16 entries, so each block's temporaries stay under glibc's
+    128 KiB mmap threshold: they are reused from the heap, where larger
+    ones are mapped and zero-filled again for every block."""
     for rows in row_blocks(n, _BLOCK):
         mask = mask_rows(rows)
         i = int(mask.argmax())
@@ -99,8 +100,12 @@ def _affine_fault(t: np.ndarray, g: GroupTable, phi0: np.ndarray,
     return None
 
 
-def _bijective(img: np.ndarray) -> bool:
-    return len(set(img.tolist())) == len(img)
+def _split(phi0: np.ndarray, phi1: np.ndarray) -> AffineDecomposition:
+    """The decomposition of a rule already checked to be phi0(a).phi1(b):
+    it is bipermutative exactly when phi0 and phi1 are bijections."""
+    p0, p1 = tuple(phi0.tolist()), tuple(phi1.tolist())
+    auto0, auto1 = len(set(p0)) == len(p0), len(set(p1)) == len(p1)
+    return AffineDecomposition(p0, p1, auto0, auto1, auto0 and auto1)
 
 
 def decompose_affine(rule: LocalRule, g: GroupTable) -> AffineDecomposition:
@@ -108,8 +113,7 @@ def decompose_affine(rule: LocalRule, g: GroupTable) -> AffineDecomposition:
 
     phi0 is the action on the left neighbour (phi(. , e)) and phi1 on the
     right (phi(e, .)); the full table must factor through them, and each must
-    respect the group operation.  Row a of the table is b -> phi0(a).phi1(b),
-    so the rule is bipermutative exactly when phi0 and phi1 are bijections.
+    respect the group operation.
     """
     _check_alphabet(rule, g)
     if not g.abelian:
@@ -122,10 +126,7 @@ def decompose_affine(rule: LocalRule, g: GroupTable) -> AffineDecomposition:
         if name == "affine":
             raise NotAffine(witness)
         raise NotEndomorphism(name, witness)
-    auto0, auto1 = _bijective(phi0), _bijective(phi1)
-    return AffineDecomposition(tuple(int(v) for v in phi0),
-                               tuple(int(v) for v in phi1),
-                               auto0, auto1, auto0 and auto1)
+    return _split(phi0, phi1)
 
 
 def affine_rho(g: GroupTable, dec: AffineDecomposition) -> tuple[int, ...]:
@@ -141,14 +142,13 @@ def affine_rho(g: GroupTable, dec: AffineDecomposition) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # kernel
 
-def _verify_endomorphic(rule: LocalRule, g: GroupTable) -> bool:
+def _verify_endomorphic(rule: LocalRule, g: GroupTable) -> AffineDecomposition:
     """Check phi(a.a', b.b') = phi(a,b).phi(a',b') for all quadruples and
-    return whether the rule is bipermutative.
+    return the split of phi into phi0 and phi1.
 
     Over a product group shift this holds exactly when phi factors through
     phi0 = phi(.,e) and phi1 = phi(e,.), both are endomorphisms, and their
-    images commute elementwise.  Row a is then b -> phi0(a).phi1(b), so the
-    rule is bipermutative exactly when phi0 and phi1 are bijections.
+    images commute elementwise.  Row a is then b -> phi0(a).phi1(b).
 
     The commutation is certified on the generators S: if phi0(s) commutes
     with phi1(s') for all s, s' in S, then phi0(G) = <phi0(S)> lies in the
@@ -174,7 +174,7 @@ def _verify_endomorphic(rule: LocalRule, g: GroupTable) -> bool:
         a, b = _first(lambda r: t[r] != np.take(
             np.take(gt, cols[r], axis=1), rows, axis=0).T, n)
         raise NotEndomorphicCA((e, a, b, e))
-    return _bijective(phi0) and _bijective(phi1)
+    return _split(phi0, phi1)
 
 
 def _cycles(perm) -> list[list[int]]:
@@ -204,11 +204,13 @@ class KernelReport:
     rho is the permutation with phi(a, rho(a)) = e, so the kernel point with
     first symbol a is the rho-orbit of a; periods[a] is its length.  The
     period words are built from rho only when read: word(a) for one symbol,
-    zeta for all of them, with shift(zeta[a]) = zeta[rho(a)].
+    zeta for all of them, with shift(zeta[a]) = zeta[rho(a)].  split is the
+    phi0/phi1 decomposition that the kernel verified.
     """
 
     rho: tuple[int, ...]
     periods: tuple[int, ...]
+    split: AffineDecomposition
 
     def word(self, a: int) -> tuple[int, ...]:
         """zeta[a]: rho walked from a for periods[a] steps."""
@@ -228,21 +230,21 @@ def kernel(rule: LocalRule, g: GroupTable) -> KernelReport:
     rule that is neither is reported as not bipermutative."""
     _check_alphabet(rule, g)
     try:
-        biperm = _verify_endomorphic(rule, g)
+        split = _verify_endomorphic(rule, g)
     except NotEndomorphicCA:
         if is_bipermutative(rule):
             raise
-        biperm = False
-    if not biperm:
+        split = None
+    if split is None or not split.bipermutative:
         raise NotBipermutative("kernel needs a bipermutative rule")
     n, e, t = g.order, g.identity, rule.table
     rho = np.concatenate([np.argmax(t[r] == e, axis=1)
-                          for r in row_blocks(n)]).tolist()
+                          for r in row_blocks(n, _BLOCK)]).tolist()
     periods = [0] * n
     for cyc in _cycles(rho):
         for b in cyc:
             periods[b] = len(cyc)
-    return KernelReport(tuple(rho), tuple(periods))
+    return KernelReport(tuple(rho), tuple(periods), split)
 
 
 @dataclass(frozen=True)
@@ -392,8 +394,10 @@ def affine_matrix_system(m0: MatrixFp, m1: MatrixFp | None = None
     """The product group (Z/p)^k with the rule phi(a, b) = M0 a + M1 b
     (M1 defaults to the identity).
 
-    The rule table is filled in place, one block of about 2**17 entries at
-    a time: the group rows M0 a, then an axis-1 take of the columns M1 b."""
+    The rule table is filled in place, one block of about 2**16 entries at
+    a time (under glibc's 128 KiB mmap threshold, so the blocks are not
+    mapped and zero-filled again each time): the group rows M0 a, then an
+    axis-1 take of the columns M1 b."""
     p, k = m0.p, m0.n
     if m1 is None:
         m1 = MatrixFp.identity(p, k)
@@ -423,7 +427,8 @@ class LemmaAuditReport:
     Kernel side: is the non-identity alphabet a single rho-orbit, and does a
     nontrivial proper rho-invariant subgroup exist?  Linear side (when rho is
     linear over an elementary abelian group): is the canonical form a single
-    block, and does a nontrivial proper invariant subspace exist?
+    block, and does a nontrivial proper invariant subspace exist?  split is
+    the kernel's verified phi0/phi1 decomposition.
     """
 
     rho: tuple[int, ...]
@@ -440,6 +445,7 @@ class LemmaAuditReport:
     subspace_witness: tuple[Vec, ...] | None
     eigenvalues: tuple[int, ...] | None
     rcf_lemma_verdict: str | None
+    split: AffineDecomposition
 
 
 def lemma_audit(g: GroupTable, rule: LocalRule) -> LemmaAuditReport:
@@ -497,4 +503,4 @@ def lemma_audit(g: GroupTable, rule: LocalRule) -> LemmaAuditReport:
         subgroup_witness=witness, kernel_lemma_verdict=verdict,
         linear=view is not None, invariant_factors=factors, simple=simple,
         has_invariant_subspace=subspaces, subspace_witness=sub_witness,
-        eigenvalues=eigen, rcf_lemma_verdict=rcf_verdict)
+        eigenvalues=eigen, rcf_lemma_verdict=rcf_verdict, split=kern.split)

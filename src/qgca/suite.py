@@ -212,7 +212,8 @@ def criterion_5(depth: int | None = None, seed: int = 0) -> list[SuiteRow]:
 def criterion_6(depth: int | None = None, seed: int = 0) -> list[SuiteRow]:
     rows = []
     g, rule = fixtures._z7x4()
-    dec = eca.decompose_affine(rule, g)
+    audit = eca.lemma_audit(g, rule)          # its rho is the kernel's
+    dec = audit.split                         # and so is its split
 
     digits = np.array(qg.unpack_digits(7, 4, np.arange(g.order)))
     m_action = tuple(qg.pack_digits(7, np.array(M7_MATRIX.rows) @ digits).tolist())
@@ -222,7 +223,6 @@ def criterion_6(depth: int | None = None, seed: int = 0) -> list[SuiteRow]:
                      f"phi0_is_M={dec.phi0 == m_action} "
                      f"phi1_is_identity={dec.phi1 == identity_map}"))
 
-    audit = eca.lemma_audit(g, rule)          # its rho is the kernel's
     ok_rho = audit.rho == eca.affine_rho(g, dec)
     neg_action = tuple(g.inv(v) for v in m_action)
     ok_rho = ok_rho and audit.rho == neg_action

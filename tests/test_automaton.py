@@ -176,6 +176,51 @@ def test_solver_reads_the_numpy_table_past_the_small_alphabet(rng, monkeypatch):
             assert (ca.fiber_preimages(large, w), ca.xi_inverse(large, w)) == expect
 
 
+def _word_dynamics(rule, w):
+    return (ca.fiber_preimages(rule, w),
+            [ca.xi(rule, w), ca.xi_inverse(rule, w), ca.tau(rule, w)])
+
+
+def _python_ints(results):
+    return all(type(v) is int for words in results for word in words
+               for v in word)
+
+
+def test_word_dynamics_give_python_ints_on_both_sides_of_the_small_alphabet(
+        rng, monkeypatch):
+    """fiber_preimages, xi, xi_inverse and tau give the same words from the
+    python-int rows and, past _SMALL_ALPHABET, from the numpy rows, and
+    every symbol of every word is a Python int, not a numpy scalar."""
+    for _ in range(5):
+        n = rng.randrange(2, 7)
+        table = random_bipermutative_rule(n, rng).table
+        small, large = (ca.make_rule(n, 0, 1, table) for _ in range(2))
+        w = random_word(n, rng.randrange(2, 10), rng)
+        expect = _word_dynamics(small, w)
+        with monkeypatch.context() as m:
+            m.setattr(ca, "_SMALL_ALPHABET", 1)
+            got = _word_dynamics(large, w)
+        assert type(small.solve[0]) is tuple
+        assert type(large.solve[0]) is not tuple
+        assert got == expect
+        assert _python_ints(expect) and _python_ints(got)
+
+
+def test_word_dynamics_on_the_z7x4_alphabet_give_python_ints():
+    """The 2401-symbol rule is past _SMALL_ALPHABET: its words still come
+    out as Python ints, xi_inverse undoes xi, and tau moves along a fiber."""
+    from qgca.fixtures import _z7x4
+    _, rule = _z7x4()
+    assert rule.alphabet_size > ca._SMALL_ALPHABET
+    w = (5, 2400, 17, 0, 1234)
+    fibers, (x, back, moved) = results = _word_dynamics(rule, w)
+    assert _python_ints(results)
+    assert ca.xi_inverse(rule, x) == w and ca.xi(rule, back) == w
+    assert moved[0] == 6 and ca.step(rule, moved) == ca.step(rule, w)
+    assert all(f[0] == b and ca.step(rule, f) == w
+               for b, f in enumerate(fibers))
+
+
 def test_fiber_requires_bipermutativity():
     rule = ca.make_rule(2, 0, 1, [[0, 0], [1, 1]])
     with pytest.raises(NotBipermutative):

@@ -639,6 +639,39 @@ def test_a_late_fault_keeps_its_row_major_witness():
     assert exc.value.witness == witness
 
 
+def test_z7x4_passes_stay_in_heap_sized_blocks():
+    """The decomposition and the kernel, each on a fresh (Z/7)^4 pair, peak
+    under 0.5 MiB: their row blocks of about 2**16 entries keep each int16
+    temporary under glibc's 128 KiB mmap threshold (2**17-entry blocks
+    peaked at 654 KiB)."""
+    for fn in (eca.decompose_affine, eca.kernel):
+        g, rule = eca.affine_matrix_system(M7_MATRIX)
+        peak = _traced_peak(fn, rule, g)
+        assert peak < 2 ** 19, (fn.__name__, peak)
+
+
+def test_criterion_6_reads_the_split_from_the_audit(monkeypatch):
+    """Criterion 6 runs no decomposition of its own: it reads phi0 and phi1
+    from the audit, whose kernel verified them, and they are the ones
+    decompose_affine finds, on (Z/7)^4 and on Ledrappier rules."""
+    from qgca import fixtures, suite
+    calls = []
+    real = eca.decompose_affine
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(eca, "decompose_affine", counting)
+    rows = suite.criterion_6()
+    assert calls == [] and "FAIL" not in {r.status for r in rows}
+    cases = [(gr.cyclic_group(p), led_rule(p, c0, c1))
+             for p, c0, c1 in ((2, 1, 1), (3, 2, 1), (5, 2, 3), (7, 3, 4))]
+    for g, rule in cases + [fixtures._z7x4()]:
+        assert eca.lemma_audit(g, rule).split == real(rule, g)
+    assert calls == []
+
+
 def test_lemma_audit_builds_no_kernel_word(monkeypatch):
     reports = []
     real = eca.kernel
