@@ -16,11 +16,10 @@ import numpy as np
 from .errors import (NotBipermutative, ParseError, PeriodTooLarge,
                      TableTooLarge, WordTooShort)
 from .quasigroup import (Quasigroup, first_repeat, freeze_table, index_dtype,
-                         pack_digits, row_inverses, unpack_digits)
+                         int_rows, pack_digits, row_inverses, unpack_digits)
 
 RULE_TABLE_BOUND = 2 ** 24
 PERIODIC_STATE_BOUND = 2 ** 20
-_SMALL_ALPHABET = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +46,7 @@ class LocalRule:
     @cached_property
     def _pair_rows(self):
         """rows[a][b] = table[a, b] as a Python int, for two-symbol windows."""
-        return _int_rows(self.table) if self.arity == 2 else None
+        return int_rows(self.table) if self.arity == 2 else None
 
     @cached_property
     def _bipermutative(self) -> bool:
@@ -63,7 +62,7 @@ class LocalRule:
     @cached_property
     def solve(self):
         """solve[a][v] = the b with table[a, b] = v, as a Python int."""
-        return _int_rows(self._solve_rows)
+        return int_rows(self._solve_rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LocalRule):
@@ -76,15 +75,6 @@ class LocalRule:
     def __repr__(self) -> str:
         return (f"LocalRule(N={self.alphabet_size}, l={self.left_radius}, "
                 f"r={self.right_radius})")
-
-
-def _int_rows(table: np.ndarray):
-    """Rows of an n x n table indexed rows[a][b] to a Python int: tuples of
-    ints on small alphabets, memoryviews of the numpy rows above that, so no
-    n^2 Python ints are built."""
-    if len(table) <= _SMALL_ALPHABET:
-        return tuple(map(tuple, table.tolist()))
-    return tuple(map(memoryview, table))
 
 
 def make_rule(alphabet_size: int, left_radius: int, right_radius: int,

@@ -17,8 +17,9 @@ from .errors import (AlphabetSizeMismatch, BadParams, NotAffine,
 from .groups import GroupTable, elementary_abelian_group
 from .matfp import (MatrixFp, Poly, RcfResult, Vec, char_roots,
                     invariant_subspaces, rcf)
-from .quasigroup import (CLOSURE_ORDER_BOUND, pack_digits, row_blocks,
-                         subquasigroups, unpack_digits)
+from .quasigroup import (CLOSURE_ORDER_BOUND, first_hit, pack_digits,
+                         row_blocks, row_solutions, subquasigroups,
+                         unpack_digits)
 
 
 # ---------------------------------------------------------------------------
@@ -44,23 +45,6 @@ def _check_alphabet(rule: LocalRule, g: GroupTable) -> None:
                                    "group", g.order)
 
 
-_BLOCK = 2 ** 16
-
-
-def _first(mask_rows, n: int) -> tuple[int, int] | None:
-    """Row-major (a, b) of the first True entry of an n x n mask, read one
-    row block at a time from mask_rows(rows), or None.  The blocks hold
-    about 2**16 entries, so each block's temporaries stay under glibc's
-    128 KiB mmap threshold: they are reused from the heap, where larger
-    ones are mapped and zero-filled again for every block."""
-    for rows in row_blocks(n, _BLOCK):
-        mask = mask_rows(rows)
-        i = int(mask.argmax())
-        if mask.flat[i]:
-            return divmod(rows.start * n + i, n)
-    return None
-
-
 def _non_endomorphism(img: np.ndarray, g: GroupTable) -> tuple[int, int] | None:
     """The first row-major (a, b) with img(a.b) != img(a).img(b), or None.
 
@@ -77,8 +61,8 @@ def _non_endomorphism(img: np.ndarray, g: GroupTable) -> tuple[int, int] | None:
     if np.array_equal(img[gt[s]], gt[img[s]][:, img]):
         return None
     cols = img.astype(np.intp)
-    return _first(lambda r: img[gt[r]] != np.take(gt[img[r]], cols, axis=1),
-                  g.order)
+    return first_hit(lambda r: img[gt[r]] != np.take(gt[img[r]], cols, axis=1),
+                     g.order)
 
 
 def _affine_fault(t: np.ndarray, g: GroupTable, phi0: np.ndarray,
@@ -89,8 +73,8 @@ def _affine_fault(t: np.ndarray, g: GroupTable, phi0: np.ndarray,
     Each block gathers the rows phi0(a) of the group table, then takes the
     columns phi1 along axis 1, with intp indices converted once per call."""
     cols = phi1.astype(np.intp)
-    bad = _first(lambda r: t[r] != np.take(g.table[phi0[r]], cols, axis=1),
-                 g.order)
+    bad = first_hit(
+        lambda r: t[r] != np.take(g.table[phi0[r]], cols, axis=1), g.order)
     if bad is not None:
         return "affine", bad
     for name, img in (("phi0", phi0), ("phi1", phi1)):
@@ -171,7 +155,7 @@ def _verify_endomorphic(rule: LocalRule, g: GroupTable) -> AffineDecomposition:
         # phi1(b).phi0(a) for the rows a in r: the columns phi0(a) first,
         # then every row phi1(b), so each take holds one block
         cols, rows = phi0.astype(np.intp), phi1.astype(np.intp)
-        a, b = _first(lambda r: t[r] != np.take(
+        a, b = first_hit(lambda r: t[r] != np.take(
             np.take(gt, cols[r], axis=1), rows, axis=0).T, n)
         raise NotEndomorphicCA((e, a, b, e))
     return _split(phi0, phi1)
@@ -238,8 +222,7 @@ def kernel(rule: LocalRule, g: GroupTable) -> KernelReport:
     if split is None or not split.bipermutative:
         raise NotBipermutative("kernel needs a bipermutative rule")
     n, e, t = g.order, g.identity, rule.table
-    rho = np.concatenate([np.argmax(t[r] == e, axis=1)
-                          for r in row_blocks(n, _BLOCK)]).tolist()
+    rho = row_solutions(t, e).tolist()
     periods = [0] * n
     for cyc in _cycles(rho):
         for b in cyc:
@@ -394,10 +377,9 @@ def affine_matrix_system(m0: MatrixFp, m1: MatrixFp | None = None
     """The product group (Z/p)^k with the rule phi(a, b) = M0 a + M1 b
     (M1 defaults to the identity).
 
-    The rule table is filled in place, one block of about 2**16 entries at
-    a time (under glibc's 128 KiB mmap threshold, so the blocks are not
-    mapped and zero-filled again each time): the group rows M0 a, then an
-    axis-1 take of the columns M1 b."""
+    The rule table is filled in place, one row block at a time (see
+    quasigroup.BLOCK): the group rows M0 a, then an axis-1 take of the
+    columns M1 b."""
     p, k = m0.p, m0.n
     if m1 is None:
         m1 = MatrixFp.identity(p, k)
@@ -412,7 +394,7 @@ def affine_matrix_system(m0: MatrixFp, m1: MatrixFp | None = None
 
     rows, cols = images(m0), images(m1).astype(np.intp)
     table = np.empty_like(g.table)
-    for r in row_blocks(g.order, _BLOCK):
+    for r in row_blocks(g.order):
         np.take(g.table[rows[r]], cols, axis=1, out=table[r])
     return g, make_rule(g.order, 0, 1, table)
 

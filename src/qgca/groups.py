@@ -14,8 +14,9 @@ from itertools import product as cartesian
 import numpy as np
 
 from .errors import BadParams, NotAGroup, OrderTooLarge, ParseError
-from .quasigroup import (Quasigroup, builtin, format_table, freeze_table,
-                         index_dtype, parse_table, product, row_blocks)
+from .quasigroup import (Quasigroup, builtin, first_hit, format_table,
+                         freeze_table, index_dtype, parse_table, product,
+                         row_solutions)
 
 ASSOCIATIVITY_CHECK_BOUND = 1024
 
@@ -93,17 +94,14 @@ def _finish(q: Quasigroup, *, check_associativity: bool) -> GroupTable:
             raise OrderTooLarge(n, ASSOCIATIVITY_CHECK_BOUND)
         for c in range(n):
             right = t[:, c]                      # x -> x.c
-            for r in row_blocks(n):
-                # (a.b).c against a.(b.c), for the rows a in r
-                if not np.array_equal(right[t[r]], t[r][:, right]):
-                    raise NotAGroup(f"associativity fails at third factor {c}")
-    inv = np.empty_like(idx)
-    for r in row_blocks(n):
-        inv[r] = np.argmax(t[r] == e, axis=1)
+            # (a.b).c against a.(b.c), for the rows a in r
+            if first_hit(lambda r: right[t[r]] != t[r][:, right], n):
+                raise NotAGroup(f"associativity fails at third factor {c}")
+    inv = row_solutions(t, e)
     if not (np.array_equal(t[idx, inv], np.full(n, e))
             and np.array_equal(t[inv, idx], np.full(n, e))):
         raise NotAGroup("inverses are not two-sided")
-    return GroupTable(q.symbols, q.table, e, tuple(int(v) for v in inv))
+    return GroupTable(q.symbols, q.table, e, tuple(inv.tolist()))
 
 
 def from_quasigroup(q: Quasigroup) -> GroupTable:

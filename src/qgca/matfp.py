@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BadParams, ParseError, QgcaError, TooLarge
-from .quasigroup import closed_sets, is_prime, unpack_digits
+from .quasigroup import BLOCK, closed_sets, is_prime, unpack_digits
 
 SUBSPACE_ENUMERATION_BOUND = 2 ** 20
 SUBSPACE_FAMILY_BOUND = 20000
@@ -461,13 +461,13 @@ def _cyclic_subspaces(m: MatrixFp) -> dict[tuple[Vec, ...], Vec]:
     products over all representatives at once (n p^2 < 2**63 under
     SUBSPACE_ENUMERATION_BOUND), and one batched elimination mod p turns
     every block into the RREF basis of its span.  Representatives go in
-    stacks of 2**16 / n^2 blocks, so memory stays bounded.
+    stacks of BLOCK / n^2 blocks, so memory stays bounded.
     """
     p, n = m.p, m.n
     mt = np.array(m.rows, dtype=np.int64).T
     lines = _line_representatives(p, n)
     seeds = {}
-    step = max(1, 2 ** 16 // (n * n))
+    step = max(1, BLOCK // (n * n))
     for start in range(0, len(lines), step):
         vecs = np.column_stack(unpack_digits(p, n, lines[start:start + step]))
         krylov = [vecs]

@@ -37,8 +37,9 @@ class Quasigroup:
         return len(self.symbols)
 
     @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(int(v) for v in row) for row in self.table.tolist())
+    def rows(self):
+        """rows[a][b] = table[a, b] as a Python int (see :func:`int_rows`)."""
+        return int_rows(self.table)
 
     def mul(self, a: int, b: int) -> int:
         return self.rows[a][b]
@@ -73,11 +74,39 @@ def index_dtype(n: int) -> np.dtype:
     return np.dtype(np.int16 if n <= 2 ** 15 else np.int32)
 
 
-def row_blocks(n: int, size: int = 2 ** 18):
-    """The row slices of an n x n table, about ``size`` entries each, in
-    order."""
-    step = max(1, size // n)
+# Entries per block of every table pass.  A block's temporaries then stay
+# under glibc's 128 KiB mmap threshold: they are reused from the heap, where
+# larger ones are mapped and zero-filled again for every block.
+BLOCK = 2 ** 16
+
+# largest alphabet whose table rows int_rows builds as tuples of Python ints
+_SMALL_ALPHABET = 512
+
+
+def row_blocks(n: int):
+    """The row slices of an n x n table, about BLOCK entries each, in order."""
+    step = max(1, BLOCK // n)
     return (slice(r, r + step) for r in range(0, n, step))
+
+
+def first_hit(mask_rows, n: int) -> tuple[int, int] | None:
+    """Row-major (a, b) of the first True entry of an n x n mask, read one
+    row block at a time from mask_rows(rows), or None."""
+    for rows in row_blocks(n):
+        mask = mask_rows(rows)
+        i = int(mask.argmax())
+        if mask.flat[i]:
+            return divmod(rows.start * n + i, n)
+    return None
+
+
+def row_solutions(table: np.ndarray, v: int) -> np.ndarray:
+    """out[a] = the b with table[a, b] == v, for an n x n table whose rows
+    are permutations; read one row block at a time."""
+    out = np.empty(len(table), dtype=np.intp)
+    for r in row_blocks(len(table)):
+        np.argmax(table[r] == v, axis=1, out=out[r])
+    return out
 
 
 def row_inverses(table: np.ndarray) -> np.ndarray:
@@ -92,6 +121,15 @@ def row_inverses(table: np.ndarray) -> np.ndarray:
     return out
 
 
+def int_rows(table: np.ndarray):
+    """Rows of an n x n table indexed rows[a][b] to a Python int: tuples of
+    ints on small alphabets, memoryviews of the numpy rows above that, so no
+    n^2 Python ints are built."""
+    if len(table) <= _SMALL_ALPHABET:
+        return tuple(map(tuple, table.tolist()))
+    return tuple(map(memoryview, table))
+
+
 def freeze_table(arr: np.ndarray) -> np.ndarray:
     """The table over len(arr) symbols as a read-only contiguous array in
     their index dtype, copied only when it is not one already."""
@@ -104,9 +142,9 @@ def first_repeat(lines: np.ndarray) -> tuple[int, int, int] | None:
     """First line of an m x n array with entries in 0..n-1 that is not a
     permutation, as (line, first position, repeat position) of its first
     repeated entry; None when every line is a permutation.  The hits are
-    marked one block of about 2**18 entries at a time."""
+    marked one block of about BLOCK entries at a time."""
     m, n = lines.shape
-    rows = max(1, 2 ** 18 // n)
+    rows = max(1, BLOCK // n)
     for lo in range(0, m, rows):
         block = lines[lo:lo + rows]
         hit = np.zeros(block.shape, dtype=bool)
@@ -142,12 +180,9 @@ def validate_latin(table, symbols: Sequence[str] | None = None) -> Quasigroup:
     if len(set(symbols)) != n:
         raise ParseError("symbol names must be distinct")
 
-    for rows in row_blocks(n):
-        bad = arr[rows] < 0
-        bad |= arr[rows] >= n
-        i = int(bad.argmax())
-        if bad.flat[i]:
-            raise BadEntry(*divmod(rows.start * n + i, n))
+    bad = first_hit(lambda r: (arr[r] < 0) | (arr[r] >= n), n)
+    if bad is not None:
+        raise BadEntry(*bad)
     repeat = first_repeat(arr)
     if repeat:
         raise DuplicateInRow(*repeat)
@@ -168,13 +203,13 @@ def dual(q: Quasigroup) -> Quasigroup:
 def associativity_witness(q: Quasigroup) -> tuple[int, int, int] | None:
     """First triple (a, b, c) with (a*b)*c != a*(b*c), or None.
 
-    One first factor a at a time, so each step holds N^2 entries."""
+    One first factor a at a time, each compared in row blocks over b."""
     t = q.table
     for a in range(q.order):
-        # [b, c] entries (a*b)*c and a*(b*c)
-        bad = np.argwhere(t[t[a]] != t[a][t])
-        if bad.size:
-            return (a, *(int(v) for v in bad[0]))
+        # [b, c] entries (a*b)*c and a*(b*c), for the b in r
+        bad = first_hit(lambda r: t[t[a, r]] != t[a][t[r]], q.order)
+        if bad is not None:
+            return (a, *bad)
     return None
 
 
@@ -392,6 +427,21 @@ def product(left: Quasigroup, right: Quasigroup) -> Quasigroup:
     return Quasigroup(symbols, freeze_table(table.reshape(nl * nr, -1)))
 
 
+def _factor(f) -> Quasigroup:
+    return f if isinstance(f, Quasigroup) else builtin_from_spec(str(f))
+
+
+# name -> (parameter count, constructor taking the parameters)
+_BUILTINS = {
+    "D7": (0, lambda: validate_latin(_D7_TABLE, _D7_SYMBOLS)),
+    "ledrappier": (3, lambda *ps: _ledrappier(*map(int, ps))),
+    "quaternion": (0, _quaternion),
+    "cyclic": (1, lambda n: _cyclic(int(n))),
+    "nonabelian21": (0, _nonabelian21),
+    "product": (2, lambda a, b: product(_factor(a), _factor(b))),
+}
+
+
 def builtin(name: str, params: Sequence = ()) -> Quasigroup:
     """Construct a named example table.
 
@@ -399,37 +449,13 @@ def builtin(name: str, params: Sequence = ()) -> Quasigroup:
     ``nonabelian21``, and ``product a b`` whose factors are Quasigroups or
     nested spec strings (see :func:`builtin_from_spec`).
     """
+    if name not in _BUILTINS:
+        raise UnknownName(name)
+    k, make = _BUILTINS[name]
     ps = list(params)
-
-    def want(k):
-        if len(ps) != k:
-            raise BadParams(f"{name} takes {k} parameter(s), got {len(ps)}")
-
-    if name == "D7":
-        want(0)
-        return validate_latin(_D7_TABLE, _D7_SYMBOLS)
-    if name == "ledrappier":
-        want(3)
-        return _ledrappier(*(int(v) for v in ps))
-    if name == "quaternion":
-        want(0)
-        return _quaternion()
-    if name == "cyclic":
-        want(1)
-        return _cyclic(int(ps[0]))
-    if name == "nonabelian21":
-        want(0)
-        return _nonabelian21()
-    if name == "product":
-        want(2)
-        factors = [f if isinstance(f, Quasigroup) else builtin_from_spec(str(f))
-                   for f in ps]
-        return product(*factors)
-    raise UnknownName(name)
-
-
-_SPEC_ARITY = {"D7": 0, "quaternion": 0, "nonabelian21": 0,
-               "cyclic": 1, "ledrappier": 3}
+    if len(ps) != k:
+        raise BadParams(f"{name} takes {k} parameter(s), got {len(ps)}")
+    return make(*ps)
 
 
 def builtin_from_spec(text: str) -> Quasigroup:
@@ -448,13 +474,13 @@ def builtin_from_spec(text: str) -> Quasigroup:
             left, pos = parse(pos + 1)
             right, pos = parse(pos)
             return product(left, right), pos
-        if tok in _SPEC_ARITY:
-            k = _SPEC_ARITY[tok]
-            args = tokens[pos + 1:pos + 1 + k]
-            if len(args) != k:
-                raise BadParams(f"{tok} needs {k} parameter(s) in {text!r}")
-            return builtin(tok, args), pos + 1 + k
-        raise UnknownName(tok)
+        if tok not in _BUILTINS:
+            raise UnknownName(tok)
+        k = _BUILTINS[tok][0]
+        args = tokens[pos + 1:pos + 1 + k]
+        if len(args) != k:
+            raise BadParams(f"{tok} needs {k} parameter(s) in {text!r}")
+        return builtin(tok, args), pos + 1 + k
 
     q, end = parse(0)
     if end != len(tokens):

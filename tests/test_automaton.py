@@ -172,7 +172,7 @@ def test_solver_reads_the_numpy_table_past_the_small_alphabet(rng, monkeypatch):
         w = random_word(n, rng.randrange(1, 10), rng)
         expect = (ca.fiber_preimages(small, w), ca.xi_inverse(small, w))
         with monkeypatch.context() as m:
-            m.setattr(ca, "_SMALL_ALPHABET", 1)
+            m.setattr(qg, "_SMALL_ALPHABET", 1)
             assert (ca.fiber_preimages(large, w), ca.xi_inverse(large, w)) == expect
 
 
@@ -198,7 +198,7 @@ def test_word_dynamics_give_python_ints_on_both_sides_of_the_small_alphabet(
         w = random_word(n, rng.randrange(2, 10), rng)
         expect = _word_dynamics(small, w)
         with monkeypatch.context() as m:
-            m.setattr(ca, "_SMALL_ALPHABET", 1)
+            m.setattr(qg, "_SMALL_ALPHABET", 1)
             got = _word_dynamics(large, w)
         assert type(small.solve[0]) is tuple
         assert type(large.solve[0]) is not tuple
@@ -211,7 +211,7 @@ def test_word_dynamics_on_the_z7x4_alphabet_give_python_ints():
     out as Python ints, xi_inverse undoes xi, and tau moves along a fiber."""
     from qgca.fixtures import _z7x4
     _, rule = _z7x4()
-    assert rule.alphabet_size > ca._SMALL_ALPHABET
+    assert rule.alphabet_size > qg._SMALL_ALPHABET
     w = (5, 2400, 17, 0, 1234)
     fibers, (x, back, moved) = results = _word_dynamics(rule, w)
     assert _python_ints(results)

@@ -72,6 +72,12 @@ def test_removed_options_are_usage_errors(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_builtin_spec_without_its_parameter_is_input_error(capsys):
+    code, out, err = run(capsys, "qg", "validate", "@cyclic")
+    assert (code, out) == (2, "")
+    assert err == "input error: cyclic needs 1 parameter(s) in 'cyclic'"
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "qg", "validate", "/nonexistent/x.table")
     assert code == 2

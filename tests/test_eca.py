@@ -82,7 +82,7 @@ def test_group_checks_match_the_bruteforce_in_any_row_blocks(
     expect = [group_check_bruteforce(q.rows, check) for q in tables]
     assert len(set(map(str, expect))) > 3
     assert [_group_outcome(q, check) for q in tables] == expect
-    monkeypatch.setattr(gr, "row_blocks",
+    monkeypatch.setattr(qg, "row_blocks",
                         lambda n: (slice(r, r + 2) for r in range(0, n, 2)))
     assert [_group_outcome(q, check) for q in tables] == expect
 

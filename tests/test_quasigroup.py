@@ -168,6 +168,40 @@ def test_row_inverses_match_argsort(make, rng):
     assert np.array_equal(inv, np.argsort(t, axis=1))
 
 
+def test_first_hit_is_the_first_argwhere_row_in_any_block(rng, monkeypatch):
+    """In blocks of a few hundred entries, first_hit returns the first row
+    of np.argwhere(mask), whether that hit lies in the first, a middle or
+    the last row block, with later hits behind it; None on an empty mask."""
+    monkeypatch.setattr(qg, "BLOCK", 300)
+    for _ in range(20):
+        n = rng.randrange(30, 70)
+        blocks = list(qg.row_blocks(n))
+        assert len(blocks) >= 3
+        mask = np.zeros((n, n), dtype=bool)
+        assert qg.first_hit(lambda r: mask[r], n) is None
+        for block in (blocks[0], blocks[len(blocks) // 2], blocks[-1]):
+            mask[:] = False
+            a, b = rng.choice(range(n)[block]), rng.randrange(n)
+            later = [rng.randrange(a * n + b, n * n) for _ in range(4)]
+            mask.flat[later] = True
+            mask[a, b] = True
+            assert qg.first_hit(lambda r: mask[r], n) \
+                == tuple(np.argwhere(mask)[0]) == (a, b)
+
+
+def test_row_solutions_are_the_columns_of_row_inverses(rng, monkeypatch):
+    """row_solutions(t, v)[a] is the b with t[a, b] = v, in blocks of a few
+    hundred entries as in one block."""
+    squares = [qg.validate_latin(random_latin_square(n, rng)).table
+               for n in (2, 5, 9, 16, 24)]
+    for block in (qg.BLOCK, 200):
+        monkeypatch.setattr(qg, "BLOCK", block)
+        for t in squares:
+            inv = qg.row_inverses(t)
+            for v in range(len(t)):
+                assert np.array_equal(qg.row_solutions(t, v), inv[:, v])
+
+
 def test_index_dtype_edge():
     """int16 holds the indices of 2**15 symbols, not of one more."""
     assert qg.index_dtype(1) == qg.index_dtype(2 ** 15) == np.int16
@@ -250,6 +284,71 @@ def test_associativity_witness_memory():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 128 ** 2
+
+
+def _associativity_bruteforce(rows):
+    n = len(rows)
+    return next(((a, b, c) for a in range(n) for b in range(n)
+                 for c in range(n)
+                 if rows[rows[a][b]][c] != rows[a][rows[b][c]]), None)
+
+
+def test_associativity_witness_stops_in_the_first_row_block():
+    """Cyclic-1024 with columns 0 and 1 swapped fails at (0, 0, 0): the
+    witness comes from the first row block of a = 0, under 1 MiB traced
+    (one unblocked N^2 compare per first factor held 5 MiB)."""
+    t = np.array(qg.builtin("cyclic", [1024]).table)
+    t[:, [0, 1]] = t[:, [1, 0]]
+    q = qg.validate_latin(t)
+    tracemalloc.start()
+    try:
+        assert qg.associativity_witness(q) == (0, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_associativity_witness_is_the_a_major_first_triple(rng, monkeypatch):
+    """On random Latin squares, on random loops (the squares with rows and
+    columns ordered so that 0 is the identity), on (Z/2)^4 with one random
+    intercalate flipped (so the witness lies past the first rows) and on
+    groups, the witness is the first failing (a, b, c) in a-major order, in
+    blocks of one row as in one block."""
+    tables = [qg.builtin("quaternion"), qg.builtin("nonabelian21")]
+    for n in (3, 4, 5, 6, 7, 8) * 3:
+        t = np.array(random_latin_square(n, rng))
+        tables.append(qg.validate_latin(t))
+        t = t[:, np.argsort(t[0])]
+        tables.append(qg.validate_latin(t[np.argsort(t[:, 0])]))
+    xor = gr.elementary_abelian_group(2, 4).table
+    for _ in range(8):
+        r, c, x = rng.randrange(16), rng.randrange(16), rng.randrange(1, 16)
+        t = np.array(xor)
+        t[np.ix_([r, r ^ x], [c, c ^ x])] ^= x
+        tables.append(qg.validate_latin(t))
+    expect = [_associativity_bruteforce(q.rows) for q in tables]
+    assert expect[:2] == [None, None] and max(w[1] for w in expect if w) > 4
+    assert [qg.associativity_witness(q) for q in tables] == expect
+    monkeypatch.setattr(qg, "BLOCK", 1)
+    assert [qg.associativity_witness(q) for q in tables] == expect
+
+
+def test_group_mul_past_the_small_alphabet_builds_no_int_table():
+    """g.mul on (Z/7)^4 reads a memoryview row and gives a Python int, with
+    no N^2 Python ints built (5.76M of them, over 200 MB); the rows of a
+    small table stay tuples of tuples, which closure and the oracles index."""
+    g = gr.elementary_abelian_group(7, 4)
+    tracemalloc.start()
+    try:
+        v = g.mul(1234, 2345)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert type(v) is int and v == g.table[1234, 2345]
+    assert peak < 2 * 2 ** 20
+    rows = qg.builtin("D7").rows
+    assert type(rows) is tuple and all(type(r) is tuple for r in rows)
 
 
 def test_validate_latin_checks_a_table_in_its_own_dtype():
@@ -583,6 +682,29 @@ def test_builtin_spec_errors():
         qg.builtin_from_spec("cyclic 2 3")
     with pytest.raises(UnknownName):
         qg.builtin_from_spec("frobnicate")
+
+
+@pytest.mark.parametrize("make, error, text", [
+    (lambda: qg.builtin("D7", [1]), BadParams,
+     "D7 takes 0 parameter(s), got 1"),
+    (lambda: qg.builtin("product", ["D7"]), BadParams,
+     "product takes 2 parameter(s), got 1"),
+    (lambda: qg.builtin("bogus"), UnknownName, "unknown builtin name 'bogus'"),
+    (lambda: qg.builtin_from_spec("cyclic"), BadParams,
+     "cyclic needs 1 parameter(s) in 'cyclic'"),
+    (lambda: qg.builtin_from_spec("ledrappier 5 1"), BadParams,
+     "ledrappier needs 3 parameter(s) in 'ledrappier 5 1'"),
+    (lambda: qg.builtin_from_spec("product cyclic 2"), BadParams,
+     "truncated builtin spec 'product cyclic 2'"),
+    (lambda: qg.builtin_from_spec("cyclic 2 3"), BadParams,
+     "trailing tokens in builtin spec 'cyclic 2 3'"),
+    (lambda: qg.builtin_from_spec("product bogus D7"), UnknownName,
+     "unknown builtin name 'bogus'"),
+])
+def test_builtin_error_texts(make, error, text):
+    with pytest.raises(error) as exc:
+        make()
+    assert str(exc.value) == text
 
 
 def test_nonabelian21_is_a_nonabelian_group():
