@@ -377,13 +377,13 @@ def affine_matrix_system(m0: MatrixFp, m1: MatrixFp | None = None
     """The product group (Z/p)^k with the rule phi(a, b) = M0 a + M1 b
     (M1 defaults to the identity).
 
-    The rule table is filled in place, one row block at a time (see
-    quasigroup.BLOCK): the group rows M0 a, then an axis-1 take of the
-    columns M1 b."""
+    Row a of the rule table is row M0 a of the group table, so with M1 left
+    at its default the table is one axis-0 take of those rows.  An explicit
+    M1 also permutes the columns: the table is then filled in place, one row
+    block at a time (see quasigroup.BLOCK), by an axis-1 take of the columns
+    M1 b from the group rows M0 a."""
     p, k = m0.p, m0.n
-    if m1 is None:
-        m1 = MatrixFp.identity(p, k)
-    if (m1.p, m1.n) != (p, k):
+    if m1 is not None and (m1.p, m1.n) != (p, k):
         raise BadParams("component matrices must share modulus and size")
     g = elementary_abelian_group(p, k)
     digits = unpack_digits(p, k, np.arange(g.order))
@@ -392,7 +392,10 @@ def affine_matrix_system(m0: MatrixFp, m1: MatrixFp | None = None
         return pack_digits(p, [sum(c * d for c, d in zip(row, digits))
                                for row in mat.rows])
 
-    rows, cols = images(m0), images(m1).astype(np.intp)
+    rows = images(m0)
+    if m1 is None:
+        return g, make_rule(g.order, 0, 1, g.table.take(rows, axis=0))
+    cols = images(m1).astype(np.intp)
     table = np.empty_like(g.table)
     for r in row_blocks(g.order):
         np.take(g.table[rows[r]], cols, axis=1, out=table[r])

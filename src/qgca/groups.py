@@ -130,9 +130,12 @@ def nonabelian21_group() -> GroupTable:
 def elementary_abelian_group(p: int, k: int) -> GroupTable:
     """(Z/p)^k with index = base-p digits, most significant first.
 
-    The table grows one low digit at a time: the sum of x.d and y.d' is
-    (x + y).(d + d'), so each step is one broadcast of the previous table
-    against the p x p table of Z/p.
+    The table grows one high digit at a time: the sum of d.x and d'.y is
+    (d + d').(x + y), so with m = p**(j-1) each step fills the (p, m, p, m)
+    array T_j[d, x, d', y] = Z_p[d, d'] * m + T_(j-1)[x, y] with one add.
+    Prepending the high digit, not appending the low one, makes the
+    previous table the last axis, so numpy's inner loop runs over m entries
+    instead of p.
     """
     if p < 2 or k < 1:
         raise BadParams(f"need p >= 2 and k >= 1, got ({p}, {k})")
@@ -142,9 +145,10 @@ def elementary_abelian_group(p: int, k: int) -> GroupTable:
     z_p = np.lib.stride_tricks.sliding_window_view(np.tile(digit, 2), p)[:p]
     table = z_p
     for _ in range(k - 1):
-        m = len(table) * p
-        table = (table[:, None, :, None] * p
-                 + z_p[None, :, None, :]).reshape(m, m)
+        m = len(table)
+        grown = np.empty((p, m, p, m), dtype=digit.dtype)
+        np.add((z_p * m)[:, None, :, None], table[None, :, None, :], out=grown)
+        table = grown.reshape(p * m, p * m)
     symbols = tuple(map("".join, cartesian(list(map(str, range(p))), repeat=k)))
     return _finish(Quasigroup(symbols, freeze_table(table)),
                    check_associativity=False)

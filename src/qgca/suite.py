@@ -39,30 +39,39 @@ class SuiteRow:
 # seeded generators
 
 def random_latin_square(n: int, rng: random.Random) -> list[list[int]]:
-    """Uniformly varied Latin square by randomized backtracking."""
+    """Uniformly varied Latin square by randomized backtracking.
+
+    The cells are filled in row-major order from an explicit stack: each
+    cell shuffles its candidates when it is entered and tries them in that
+    order, and a cell that runs out of candidates sends the search back one
+    cell.  The order is free of the recursion limit, but the backtracking
+    itself still stalls past order about 28.
+    """
     grid = [[-1] * n for _ in range(n)]
     row_used = [set() for _ in range(n)]
     col_used = [set() for _ in range(n)]
-
-    def solve(cell: int) -> bool:
-        if cell == n * n:
-            return True
+    untried: list = []       # untried[i]: the rest of cell i's candidates
+    cell = 0
+    while cell < n * n:
         r, c = divmod(cell, n)
-        cands = [v for v in range(n)
-                 if v not in row_used[r] and v not in col_used[c]]
-        rng.shuffle(cands)
-        for v in cands:
+        if len(untried) == cell:
+            cands = [v for v in range(n)
+                     if v not in row_used[r] and v not in col_used[c]]
+            rng.shuffle(cands)
+            untried.append(iter(cands))
+        else:                # back from the next cell: take this value out
+            row_used[r].remove(grid[r][c])
+            col_used[c].remove(grid[r][c])
+        v = next(untried[cell], None)
+        if v is None:
+            grid[r][c] = -1
+            untried.pop()
+            cell -= 1
+        else:
             grid[r][c] = v
             row_used[r].add(v)
             col_used[c].add(v)
-            if solve(cell + 1):
-                return True
-            row_used[r].remove(v)
-            col_used[c].remove(v)
-        grid[r][c] = -1
-        return False
-
-    solve(0)
+            cell += 1
     return grid
 
 
@@ -71,7 +80,23 @@ def random_bipermutative_rule(n: int, rng: random.Random) -> ca.LocalRule:
 
 
 def random_word(n: int, length: int, rng: random.Random) -> tuple[int, ...]:
-    return tuple(rng.randrange(n) for _ in range(length))
+    """length draws of rng.randrange(n), with the same stream and result.
+
+    Each symbol is drawn by the rejection loop randrange runs for a single
+    positive argument (Random._randbelow_with_getrandbits), without its
+    two Python frames per symbol.  Like randrange, an n below 1 raises
+    ValueError at the first draw; getrandbits(0) is 0, so the loop would
+    otherwise never end."""
+    if n < 1 and length > 0:
+        raise ValueError("empty range for randrange()")
+    bits, k = rng.getrandbits, n.bit_length()
+    word = []
+    for _ in range(length):
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        word.append(r)
+    return tuple(word)
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +292,17 @@ def criterion_8(depth: int | None = None, seed: int = 0) -> list[SuiteRow]:
     for _ in range(50):
         n = rng.randrange(2, 7)
         rule = random_bipermutative_rule(n, rng)
+        rows = rule._pair_rows           # the forward rows step reads
         for _ in range(100):
             w = random_word(n, rng.randrange(2, 11), rng)
             fibers = ca.fiber_preimages(rule, w)
-            ok = ok and len(set(fibers)) == n
-            ok = ok and all(ca.step(rule, f) == w for f in fibers)
+            # n distinct preimages, each one symbol longer than w and
+            # stepping to it; the lengths are checked one by one, so a
+            # long and a short preimage cannot cancel in the flat images
+            ok = (ok and len(set(fibers)) == n
+                  and set(map(len, fibers)) == {len(w) + 1}
+                  and [rows[a][b] for f in fibers for a, b in zip(f, f[1:])]
+                  == list(w) * n)
         x = random_word(n, rng.randrange(2, 11), rng)
         y = x
         for _ in range(n):

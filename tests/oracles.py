@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to cross-check the library.
 
 These deliberately avoid the library's own enumeration strategies: Latin
-squares and permutative rules by per-line scans, closed subsets by bitmask
-scan, pushforwards by full preimage enumeration, CA images by the
+squares and permutative rules by per-line scans, seeded Latin squares by
+recursive backtracking, closed subsets by bitmask scan, pushforwards by
+full preimage enumeration, CA images by the
 automaton's own ``step``, cyclic subspaces by per-vector Krylov insertion,
 invariant subspaces by a closed-set search over all of them, and invariant
 factors by Smith normal form of xI - M over F_p[x].  The measure sweeps are
@@ -57,6 +58,36 @@ def latin_check(table) -> None:
             if v in seen:
                 raise DuplicateInColumn(c, seen[v], r)
             seen[v] = r
+
+
+def latin_square_recursive(n: int, rng) -> list[list[int]]:
+    """The seeded Latin square by recursive backtracking, one call per
+    cell: the form the explicit-stack ``suite.random_latin_square``
+    replaced, with the same shuffles in the same order."""
+    grid = [[-1] * n for _ in range(n)]
+    row_used = [set() for _ in range(n)]
+    col_used = [set() for _ in range(n)]
+
+    def solve(cell: int) -> bool:
+        if cell == n * n:
+            return True
+        r, c = divmod(cell, n)
+        cands = [v for v in range(n)
+                 if v not in row_used[r] and v not in col_used[c]]
+        rng.shuffle(cands)
+        for v in cands:
+            grid[r][c] = v
+            row_used[r].add(v)
+            col_used[c].add(v)
+            if solve(cell + 1):
+                return True
+            row_used[r].remove(v)
+            col_used[c].remove(v)
+        grid[r][c] = -1
+        return False
+
+    solve(0)
+    return grid
 
 
 def left_permutative_sort(rule) -> bool:

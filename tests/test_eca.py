@@ -125,13 +125,34 @@ def test_elementary_abelian_group():
     assert qg.unpack_digits(7, 4, a) == (1, 2, 3, 4)
 
 
-@pytest.mark.parametrize("p, k", [(2, 5), (3, 3), (7, 2), (5, 1), (11, 1)])
+@pytest.mark.parametrize("p, k", [(2, 5), (3, 3), (7, 2), (5, 1), (11, 1),
+                                  (3, 4), (2, 8), (5, 3)])
 def test_elementary_abelian_table_adds_digits(p, k):
     g = gr.elementary_abelian_group(p, k)
     idx = np.arange(p ** k)
     digits = zip(qg.unpack_digits(p, k, idx[:, None]),
                  qg.unpack_digits(p, k, idx[None, :]))
     assert np.array_equal(g.table, qg.pack_digits(p, [a + b for a, b in digits]))
+
+
+@pytest.mark.parametrize("p, k", [(2, 3), (3, 2), (5, 2)])
+def test_affine_matrix_system_default_m1_is_the_identity(p, k, rng):
+    """With M1 left out, the rule table (a row take) is the one an explicit
+    identity M1 gives (row and column takes) and the digit brute force
+    phi(a, b) = M0 a + b."""
+    idx = np.arange(p ** k)
+    da = qg.unpack_digits(p, k, idx[:, None])
+    db = qg.unpack_digits(p, k, idx[None, :])
+    for _ in range(4):
+        m0 = mf.MatrixFp.from_rows(
+            p, [[rng.randrange(p) for _ in range(k)] for _ in range(k)])
+        g, rule = eca.affine_matrix_system(m0)
+        _, explicit = eca.affine_matrix_system(m0, mf.MatrixFp.identity(p, k))
+        brute = qg.pack_digits(p, [sum(c * d for c, d in zip(row, da)) + b
+                                   for row, b in zip(m0.rows, db)])
+        assert rule == explicit
+        assert np.array_equal(rule.table, brute)
+        assert g == gr.elementary_abelian_group(p, k)
 
 
 def test_rule_group_size_mismatch_message():
