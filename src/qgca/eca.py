@@ -117,10 +117,9 @@ def affine_rho(g: GroupTable, dec: AffineDecomposition) -> tuple[int, ...]:
     """The kernel permutation predicted by the affine form: -phi1^{-1} . phi0."""
     if not (dec.phi0_automorphism and dec.phi1_automorphism):
         raise NotBipermutative("affine rho needs automorphism components")
-    phi1_inv = [0] * g.order
-    for a, img in enumerate(dec.phi1):
-        phi1_inv[img] = a
-    return tuple(g.inv(phi1_inv[dec.phi0[a]]) for a in range(g.order))
+    neg_phi1_inv = np.empty(g.order, dtype=np.intp)
+    neg_phi1_inv[list(dec.phi1)] = g.inverse
+    return tuple(neg_phi1_inv[list(dec.phi0)].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +253,17 @@ def rho_orbits(rho, g: GroupTable) -> RhoOrbits:
 # subgroup lattices
 
 def invariant_subgroups(g: GroupTable, rho=None) -> list[tuple[int, ...]]:
-    """All subgroups B with rho(B) = B, including the trivial ones.
+    """All subgroups B with rho(B) = B, including the trivial ones; every
+    subgroup when rho is None.
 
     In a finite group a nonempty subset closed under the operation is a
     subgroup, so these are the subsets closed under the operation and rho.
     """
-    n = g.order
     if rho is None:
-        rho = tuple(range(n))
-    else:
-        rho = tuple(int(v) for v in rho)
-        if sorted(rho) != list(range(n)) or rho[g.identity] != g.identity:
-            raise BadParams("rho must be a permutation fixing the identity")
+        return subquasigroups(g, include_trivial=True)
+    rho = tuple(int(v) for v in rho)
+    if sorted(rho) != list(range(g.order)) or rho[g.identity] != g.identity:
+        raise BadParams("rho must be a permutation fixing the identity")
     return subquasigroups(g, include_trivial=True, unary=(rho,))
 
 
@@ -307,12 +305,13 @@ def elementary_structure(g: GroupTable) -> tuple[int, int] | None:
 
 @dataclass(frozen=True)
 class LinearView:
-    """Coordinates for an elementary abelian group plus rho as a matrix."""
+    """Coordinates for an elementary abelian group plus rho as a matrix:
+    index[pack_digits(p, v)] is the element with coordinates v in basis."""
 
     p: int
     k: int
     basis: tuple[int, ...]
-    elements: dict[Vec, int]
+    index: np.ndarray
     matrix: MatrixFp
 
 
@@ -346,27 +345,23 @@ def linear_view(g: GroupTable, rho) -> LinearView | None:
     m = np.asarray(matrix.rows, dtype=np.int64)
     if not np.array_equal(coord @ m.T % p, coord[r]):
         return None
-    elements = {tuple(v): a for a, v in enumerate(coord.tolist())}
-    return LinearView(p, k, basis, elements, matrix)
+    index = np.empty(g.order, dtype=np.intp)
+    index[pack_digits(p, coord.T)] = np.arange(g.order)
+    return LinearView(p, k, basis, index, matrix)
 
 
 def subspace_to_subgroup(view: LinearView, basis_rows) -> tuple[int, ...]:
-    """Element indices of the subgroup corresponding to a subspace basis."""
-    p = view.p
-    members = set()
+    """Element indices, ascending, of the subgroup whose coordinates span
+    the rows of basis_rows; (identity,) for no rows.
 
-    def walk(i: int, acc: Vec):
-        if i == len(basis_rows):
-            members.add(view.elements[acc])
-            return
-        row = basis_rows[i]
-        cur = acc
-        for t in range(p):
-            walk(i + 1, cur)
-            cur = tuple((x + y) % p for x, y in zip(cur, row))
-
-    walk(0, (0,) * view.k)
-    return tuple(sorted(members))
+    The coefficient vectors are the base-p digits of 0..p**d - 1 for d
+    rows; their combinations of the rows are packed (which reduces each
+    entry mod p) and read through view.index in one gather."""
+    p, d = view.p, len(basis_rows)
+    coeffs = np.array(unpack_digits(p, d, np.arange(p ** d)), dtype=np.int64)
+    rows = np.array(basis_rows, dtype=np.int64)
+    vectors = coeffs.reshape(d, p ** d).T @ rows.reshape(d, view.k)
+    return tuple(sorted(set(view.index[pack_digits(p, vectors.T)].tolist())))
 
 
 # ---------------------------------------------------------------------------

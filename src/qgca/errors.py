@@ -171,3 +171,12 @@ class NotAGroup(AnalysisError):
     def __init__(self, reason):
         self.reason = reason
         super().__init__(f"table is not a group: {reason}")
+
+
+def read_int(token, error: type[InputError] = BadParams) -> int:
+    """token read by int(); one that does not read as an integer raises
+    error, an input error that names it."""
+    try:
+        return int(token)
+    except ValueError:
+        raise error(f"expected an integer, got {token!r}") from None

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .automaton import LocalRule, format_rule, from_quasigroup, parse_rule
 from .eca import affine_matrix_system
-from .errors import UnknownName
+from .errors import UnknownName, read_int
 from .groups import (GroupTable, format_group, from_quasigroup as group_from_q,
                      load_group)
 from .matfp import MatrixFp, format_matrix, load_matrix
@@ -88,10 +88,10 @@ def resolve_measure(spec: str) -> MeasureDoc:
     tokens = _spec_tokens(spec[1:])
     name = tokens[0].lower()
     if name == "uniform" and len(tokens) == 2:
-        return MeasureDoc(UniformMeasure(int(tokens[1])), None)
+        return MeasureDoc(UniformMeasure(read_int(tokens[1])), None)
     if name == "example11" and len(tokens) == 2:
         from .groups import cyclic_group, group_product, quaternion_group
-        c = cyclic_group(int(tokens[1]))
+        c = cyclic_group(read_int(tokens[1]))
         combined = group_product(c, quaternion_group())
         return MeasureDoc(example11(c), combined.symbols)
     raise UnknownName(spec)
@@ -107,7 +107,7 @@ def resolve_matrix(spec: str) -> MatrixFp:
     if name == "m7neg":
         return M7_MATRIX.neg()
     if name == "identity" and len(tokens) == 3:
-        return MatrixFp.identity(int(tokens[1]), int(tokens[2]))
+        return MatrixFp.identity(read_int(tokens[1]), read_int(tokens[2]))
     raise UnknownName(spec)
 
 

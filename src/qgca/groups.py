@@ -14,9 +14,9 @@ from itertools import product as cartesian
 import numpy as np
 
 from .errors import BadParams, NotAGroup, OrderTooLarge, ParseError
-from .quasigroup import (Quasigroup, builtin, first_hit, format_table,
-                         freeze_table, index_dtype, parse_table, product,
-                         row_solutions)
+from .quasigroup import (Quasigroup, associativity_witness, builtin,
+                         format_table, freeze_table, index_dtype, parse_table,
+                         product, row_solutions)
 
 ASSOCIATIVITY_CHECK_BOUND = 1024
 
@@ -80,6 +80,10 @@ def _finish(q: Quasigroup, *, check_associativity: bool) -> GroupTable:
     column are both the identity map.  That reads N entries per idempotent,
     not the whole table.  There is at most one, since a left identity e and
     a right identity e' give e = e.e' = e'.
+
+    Associativity is scanned on the opposite table b.a, the view t.T: it
+    fails at (c, b, a) exactly where q fails at (a, b, c), so its first
+    witness starts with the least third factor at which q fails.
     """
     t = q.table
     n = q.order
@@ -92,11 +96,9 @@ def _finish(q: Quasigroup, *, check_associativity: bool) -> GroupTable:
     if check_associativity:
         if n > ASSOCIATIVITY_CHECK_BOUND:
             raise OrderTooLarge(n, ASSOCIATIVITY_CHECK_BOUND)
-        for c in range(n):
-            right = t[:, c]                      # x -> x.c
-            # (a.b).c against a.(b.c), for the rows a in r
-            if first_hit(lambda r: right[t[r]] != t[r][:, right], n):
-                raise NotAGroup(f"associativity fails at third factor {c}")
+        bad = associativity_witness(Quasigroup(q.symbols, t.T))
+        if bad is not None:
+            raise NotAGroup(f"associativity fails at third factor {bad[0]}")
     inv = row_solutions(t, e)
     if not (np.array_equal(t[idx, inv], np.full(n, e))
             and np.array_equal(t[inv, idx], np.full(n, e))):

@@ -40,7 +40,7 @@ import numpy as np
 from .automaton import LocalRule, fiber_preimages, is_bipermutative
 from .errors import (AlphabetMismatch, AlphabetSizeMismatch, BadParams,
                      DepthTooLarge, NotASubgroup, NotBipermutative, ParseError,
-                     WordTooShort, ZeroMassCondition)
+                     WordTooShort, ZeroMassCondition, read_int)
 from .groups import GroupTable
 from .quasigroup import pack_digits, unpack_digits
 
@@ -954,7 +954,8 @@ def parse_measure(text: str, base_dir=None) -> MeasureDoc:
 
     kind = need("kind")
     if kind == "uniform":
-        measure: CylinderMeasure = UniformMeasure(int(need("alphabet_size")))
+        measure: CylinderMeasure = UniformMeasure(
+            read_int(need("alphabet_size"), ParseError))
     elif kind == "bernoulli":
         measure = BernoulliMeasure([parse_fraction(v)
                                     for v in need("weights").split()])
@@ -964,8 +965,9 @@ def parse_measure(text: str, base_dir=None) -> MeasureDoc:
         transition = [[parse_fraction(v) for v in row.split()] for row in rows]
         measure = MarkovMeasure(initial, transition)
     elif kind == "orbit":
-        measure = OrbitMeasure(int(need("alphabet_size")),
-                               [int(v) for v in need("period_word").split()])
+        measure = OrbitMeasure(read_int(need("alphabet_size"), ParseError),
+                               [read_int(v, ParseError)
+                                for v in need("period_word").split()])
     elif kind == "product":
         measure = ProductMeasure(nested("left"), nested("right"))
     elif kind == "pushforward_ca":

@@ -14,7 +14,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (BadEntry, BadParams, DuplicateInColumn, DuplicateInRow,
-                     OrderTooLarge, ParseError, TooLarge, UnknownName)
+                     OrderTooLarge, ParseError, TooLarge, UnknownName,
+                     read_int)
 
 # largest order the closed-subset enumerators accept
 CLOSURE_ORDER_BOUND = 64
@@ -434,9 +435,9 @@ def _factor(f) -> Quasigroup:
 # name -> (parameter count, constructor taking the parameters)
 _BUILTINS = {
     "D7": (0, lambda: validate_latin(_D7_TABLE, _D7_SYMBOLS)),
-    "ledrappier": (3, lambda *ps: _ledrappier(*map(int, ps))),
+    "ledrappier": (3, lambda *ps: _ledrappier(*map(read_int, ps))),
     "quaternion": (0, _quaternion),
-    "cyclic": (1, lambda n: _cyclic(int(n))),
+    "cyclic": (1, lambda n: _cyclic(read_int(n))),
     "nonabelian21": (0, _nonabelian21),
     "product": (2, lambda a, b: product(_factor(a), _factor(b))),
 }

@@ -4,7 +4,8 @@ These deliberately avoid the library's own enumeration strategies: Latin
 squares and permutative rules by per-line scans, seeded Latin squares by
 recursive backtracking, closed subsets by bitmask scan, pushforwards by
 full preimage enumeration, CA images by the
-automaton's own ``step``, cyclic subspaces by per-vector Krylov insertion,
+automaton's own ``step``, subgroups of a subspace by a recursive walk over
+its vectors, cyclic subspaces by per-vector Krylov insertion,
 invariant subspaces by a closed-set search over all of them, and invariant
 factors by Smith normal form of xI - M over F_p[x].  The measure sweeps are
 the recursive per-word engine the level arrays replaced: a depth-first walk
@@ -163,6 +164,35 @@ def group_check_bruteforce(rows, check_associativity: bool):
     if any(rows[inv[a]][a] != e for a in range(n)):
         return "inverses are not two-sided"
     return e, inv
+
+
+def subspace_members_recursive(g, view, basis_rows) -> tuple[int, ...]:
+    """Element indices, ascending, of the subgroup whose coordinates in
+    view.basis span basis_rows: the recursive walk over coefficient vectors
+    that the packed gather replaced.  Each vector's element is a product of
+    basis elements in g's python-int rows, not a read of view.index."""
+    p = view.p
+
+    def element(vec) -> int:
+        acc = g.identity
+        for c, b in zip(vec, view.basis):
+            for _ in range(c):
+                acc = g.rows[acc][b]
+        return acc
+
+    members = set()
+
+    def walk(i: int, acc: Vec):
+        if i == len(basis_rows):
+            members.add(element(acc))
+            return
+        cur = acc
+        for _ in range(p):
+            walk(i + 1, cur)
+            cur = tuple((x + y) % p for x, y in zip(cur, basis_rows[i]))
+
+    walk(0, (0,) * view.k)
+    return tuple(sorted(members))
 
 
 def non_homomorphic_pair(img, g):

@@ -52,6 +52,23 @@ def test_qg_validate_corrupted(capsys, tmp_path, fixture_dir):
     assert code == 1 and "FAIL" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty table file"),
+    ("x a b\na b\nb a\n", "first token must be the order, got 'x'"),
+    ("3 a b\na b\nb a\n", "header declares 3 symbols but lists 2"),
+    ("2 a a\na a\na a\n", "symbol names must be distinct"),
+    ("2 a b\na b\n", "expected 2 table rows, got 1"),
+    ("2 a b\na b\nb\n", "row 1 has 1 entries, expected 2"),
+    ("2 a b\na b\nb z\n", "row 1 uses unknown name 'z'"),
+])
+def test_qg_validate_malformed_table_file(capsys, tmp_path, text, message):
+    """Each fault of the table file format exits 2 with its own text."""
+    path = tmp_path / "bad.table"
+    path.write_text(text)
+    code, out, err = run(capsys, "qg", "validate", path)
+    assert (code, out, err) == (2, "", f"input error: {message}")
+
+
 def test_qg_validate_out_writes_file(capsys, tmp_path, fixture_dir):
     out_path = tmp_path / "validate.txt"
     code, stdout, _ = run(capsys, "qg", "validate", fixture_dir / "d7.table",
@@ -76,6 +93,33 @@ def test_builtin_spec_without_its_parameter_is_input_error(capsys):
     code, out, err = run(capsys, "qg", "validate", "@cyclic")
     assert (code, out) == (2, "")
     assert err == "input error: cyclic needs 1 parameter(s) in 'cyclic'"
+
+
+@pytest.mark.parametrize("argv, token", [
+    (("mu", "invariance", "@uniform,abc"), "abc"),
+    (("qg", "validate", "@cyclic,x"), "x"),
+    (("qg", "validate", "@ledrappier,3,a,1"), "a"),
+    (("eca", "invsubspaces", "@identity,3,y"), "y"),
+    (("mu", "example11", "@cyclic,q"), "q"),
+    (("mu", "eval", "@example11,x", "0"), "x"),
+])
+def test_malformed_integer_in_a_spec_is_input_error(capsys, argv, token):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"input error: expected an integer, got {token!r}"
+
+
+@pytest.mark.parametrize("text, token", [
+    ("kind=uniform\nalphabet_size=abc\n", "abc"),
+    ("kind=orbit\nalphabet_size=8\nperiod_word=2 x 6\n", "x"),
+])
+def test_malformed_integer_in_a_measure_file_is_input_error(
+        capsys, tmp_path, text, token):
+    path = tmp_path / "bad.measure"
+    path.write_text(text)
+    code, out, err = run(capsys, "mu", "invariance", path)
+    assert (code, out) == (2, "")
+    assert err == f"input error: expected an integer, got {token!r}"
 
 
 def test_missing_file_is_input_error(capsys):

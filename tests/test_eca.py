@@ -20,7 +20,7 @@ from qgca.suite import random_bipermutative_rule, random_latin_square
 
 from oracles import (endomorphic_bruteforce, group_check_bruteforce,
                      kernel_bruteforce, non_affine_pair, non_homomorphic_pair,
-                     subgroups_bitmask)
+                     subgroups_bitmask, subspace_members_recursive)
 
 
 def led_rule(p, c0, c1):
@@ -72,8 +72,22 @@ def _normalized(rows, left, right):
 def test_group_checks_match_the_bruteforce_in_any_row_blocks(
         check, rng, monkeypatch):
     """Loops, one-sided identities and groups, checked in the default row
-    blocks and in blocks of two rows, against python-int loops."""
+    blocks and in blocks of two rows, against python-int loops.
+
+    Two loops fail associativity first at third factor 2.  In (Z/2)^4 with
+    an intercalate flipped the first such triple scanned is (a, b, c) =
+    (4, 8, 2): neither other factor is the one named, and b = 8 lies past
+    the first two-row block.  The order-6 loop fails at first factor 1,
+    below its least failing third factor."""
     tables = [qg.builtin(name) for name in ("D7", "quaternion", "nonabelian21")]
+    # swap the entries of the Latin subsquare at rows 4, 5 and columns 8, 9
+    z2_4 = gr.elementary_abelian_group(2, 4).table.copy()
+    r, c = [4, 4, 5, 5], [8, 9, 8, 9]
+    z2_4[r, c] = z2_4[r, c[::-1]]
+    tables.append(qg.validate_latin(z2_4))
+    tables.append(qg.validate_latin([
+        [0, 1, 2, 3, 4, 5], [1, 3, 5, 0, 2, 4], [2, 4, 3, 5, 0, 1],
+        [3, 0, 4, 1, 5, 2], [4, 5, 0, 2, 1, 3], [5, 2, 1, 4, 3, 0]]))
     for n in (5, 6, 7, 8):
         rows = random_latin_square(n, rng)
         tables += [_normalized(rows, left, right)
@@ -254,10 +268,14 @@ def test_kernel_rho_fixes_identity_and_matches_affine(rng):
         assert rep.rho == eca.affine_rho(g, dec)
 
 
+def _random_matrix(p, k, rng):
+    return mf.MatrixFp.from_rows(p, [[rng.randrange(p) for _ in range(k)]
+                                     for _ in range(k)])
+
+
 def _random_invertible(p, k, rng):
     while True:
-        rows = [[rng.randrange(p) for _ in range(k)] for _ in range(k)]
-        m = mf.MatrixFp.from_rows(p, rows)
+        m = _random_matrix(p, k, rng)
         if mf.char_roots(m).count(0) == 0 and mf.p_eval(mf.char_poly(m), 0, p):
             return m
 
@@ -839,6 +857,17 @@ def test_invariant_subgroups_match_bitmask_oracle(make, rho_kind):
     assert found == oracle
 
 
+@pytest.mark.parametrize("make", [
+    lambda: gr.group_product(gr.cyclic_group(2), gr.quaternion_group()),
+    gr.nonabelian21_group,
+    lambda: gr.elementary_abelian_group(2, 4),
+], ids=["c2q", "nonabelian21", "z2^4"])
+def test_invariant_subgroups_without_rho_are_the_identity_map_run(make):
+    g = make()
+    assert eca.invariant_subgroups(g, None) \
+        == eca.invariant_subgroups(g, tuple(range(g.order)))
+
+
 def test_invariant_subgroups_bound():
     with pytest.raises(OrderTooLarge):
         eca.invariant_subgroups(gr.elementary_abelian_group(7, 4))
@@ -953,6 +982,26 @@ def test_subspace_to_subgroup_is_closed():
     assert len(members) == 7
     assert all(g.mul(a, b) in members for a in members for b in members)
     assert all(rep.rho[a] in members for a in members)
+
+
+@pytest.mark.parametrize("p, k", [(2, 3), (3, 2), (5, 2), (2, 4)])
+def test_subspace_to_subgroup_matches_the_recursive_walk(p, k, rng):
+    """Every invariant subspace of random matrices, of the identity (so of
+    every subspace) and the empty basis, against the recursive walk."""
+    seen = 0
+    for m in [mf.MatrixFp.identity(p, k)] \
+            + [_random_matrix(p, k, rng) for _ in range(4)]:
+        g, rule = eca.affine_matrix_system(m)
+        view = eca.linear_view(g, tuple(rule.table[:, g.identity].tolist()))
+        spaces = [(), *mf.invariant_subspaces(view.matrix),
+                  tuple(map(tuple, np.eye(k, dtype=int).tolist()))]
+        for basis in spaces:
+            members = eca.subspace_to_subgroup(view, basis)
+            assert members == subspace_members_recursive(g, view, basis)
+            assert len(members) == p ** len(basis)
+        seen += len(spaces)
+    assert eca.subspace_to_subgroup(view, ()) == (g.identity,)
+    assert seen > 20
 
 
 # ---------------------------------------------------------------------------
