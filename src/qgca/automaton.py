@@ -268,6 +268,10 @@ def recode_block(rule: LocalRule) -> BlockRecoding:
     For blocks u, v, the recoded local map is the full step of the rule on
     the concatenated word u + v, which is again one block.  Bipermutativity
     transfers in both directions.
+
+    The table is built whole, one image symbol z at a time: the window
+    z..z+m of every pair u + v is one read of the rule table at the code of
+    the tail of u (rows) and the code of the head of v (columns).
     """
     m = rule.left_radius + rule.right_radius
     if m < 1:
@@ -278,11 +282,12 @@ def recode_block(rule: LocalRule) -> BlockRecoding:
     big = n ** m
     if big * big > RULE_TABLE_BOUND:
         raise TableTooLarge(big * big, RULE_TABLE_BOUND)
-    table = np.empty((big, big), dtype=index_dtype(big))
-    blocks = [unpack_digits(n, m, v) for v in range(big)]
-    for u in range(big):
-        for v in range(big):
-            table[u, v] = pack_digits(n, step(rule, blocks[u] + blocks[v]))
+    u = np.arange(big)
+    table = np.zeros((big, big), dtype=index_dtype(big))
+    for z in range(m):
+        table *= n
+        table += rule.table.reshape(n ** (m - z), -1)[
+            (u % n ** (m - z))[:, None], u // n ** (m - 1 - z)]
     gamma = make_rule(big, 0, 1, table)
     return BlockRecoding(gamma, m, n)
 

@@ -18,8 +18,7 @@ from .groups import GroupTable, elementary_abelian_group
 from .matfp import (MatrixFp, Poly, RcfResult, Vec, char_roots,
                     invariant_subspaces, rcf)
 from .quasigroup import (CLOSURE_ORDER_BOUND, first_hit, pack_digits,
-                         row_blocks, row_solutions, subquasigroups,
-                         unpack_digits)
+                         row_solutions, subquasigroups, unpack_digits)
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +371,9 @@ def affine_matrix_system(m0: MatrixFp, m1: MatrixFp | None = None
     """The product group (Z/p)^k with the rule phi(a, b) = M0 a + M1 b
     (M1 defaults to the identity).
 
-    Row a of the rule table is row M0 a of the group table, so with M1 left
-    at its default the table is one axis-0 take of those rows.  An explicit
-    M1 also permutes the columns: the table is then filled in place, one row
-    block at a time (see quasigroup.BLOCK), by an axis-1 take of the columns
-    M1 b from the group rows M0 a."""
+    Row a of the rule table is row M0 a of the group table, so the table is
+    one axis-0 take of those rows; an explicit M1 then permutes the columns
+    by one axis-1 take of the columns M1 b."""
     p, k = m0.p, m0.n
     if m1 is not None and (m1.p, m1.n) != (p, k):
         raise BadParams("component matrices must share modulus and size")
@@ -387,13 +384,9 @@ def affine_matrix_system(m0: MatrixFp, m1: MatrixFp | None = None
         return pack_digits(p, [sum(c * d for c, d in zip(row, digits))
                                for row in mat.rows])
 
-    rows = images(m0)
-    if m1 is None:
-        return g, make_rule(g.order, 0, 1, g.table.take(rows, axis=0))
-    cols = images(m1).astype(np.intp)
-    table = np.empty_like(g.table)
-    for r in row_blocks(g.order):
-        np.take(g.table[rows[r]], cols, axis=1, out=table[r])
+    table = g.table.take(images(m0), axis=0)
+    if m1 is not None:
+        table = table.take(images(m1), axis=1)
     return g, make_rule(g.order, 0, 1, table)
 
 

@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import BadParams, NotAGroup, OrderTooLarge, ParseError
 from .quasigroup import (Quasigroup, associativity_witness, builtin,
-                         format_table, freeze_table, index_dtype, parse_table,
-                         product, row_solutions)
+                         format_table, parse_table, product, row_solutions)
 
 ASSOCIATIVITY_CHECK_BOUND = 1024
 
@@ -132,28 +131,16 @@ def nonabelian21_group() -> GroupTable:
 def elementary_abelian_group(p: int, k: int) -> GroupTable:
     """(Z/p)^k with index = base-p digits, most significant first.
 
-    The table grows one high digit at a time: the sum of d.x and d'.y is
-    (d + d').(x + y), so with m = p**(j-1) each step fills the (p, m, p, m)
-    array T_j[d, x, d', y] = Z_p[d, d'] * m + T_(j-1)[x, y] with one add.
-    Prepending the high digit, not appending the low one, makes the
-    previous table the last axis, so numpy's inner loop runs over m entries
-    instead of p.
+    The k-fold product of Z/p, folded one high digit at a time: the product
+    index a * |right| + b of Z/p and (Z/p)^(j-1) prepends the digit a.
     """
     if p < 2 or k < 1:
         raise BadParams(f"need p >= 2 and k >= 1, got ({p}, {k})")
-    # row a of Z/p is the digits rotated left by a, a window of them twice
-    # over; the partial tables hold indices below p**k, so none overflows
-    digit = np.arange(p, dtype=index_dtype(p ** k))
-    z_p = np.lib.stride_tricks.sliding_window_view(np.tile(digit, 2), p)[:p]
-    table = z_p
+    q = z_p = builtin("cyclic", [p])
     for _ in range(k - 1):
-        m = len(table)
-        grown = np.empty((p, m, p, m), dtype=digit.dtype)
-        np.add((z_p * m)[:, None, :, None], table[None, :, None, :], out=grown)
-        table = grown.reshape(p * m, p * m)
+        q = product(z_p, q)
     symbols = tuple(map("".join, cartesian(list(map(str, range(p))), repeat=k)))
-    return _finish(Quasigroup(symbols, freeze_table(table)),
-                   check_associativity=False)
+    return _finish(Quasigroup(symbols, q.table), check_associativity=False)
 
 
 # ---------------------------------------------------------------------------

@@ -395,6 +395,13 @@ class ProductMeasure(CylinderMeasure):
                 * self.right.eval(tuple(s % nr for s in word)))
 
     def _parts(self, depth: int) -> Parts:
+        """Slice s pairs the left words starting with s // nr and the right
+        words starting with s % nr.  The chunk of slices lo..hi-1 is one
+        outer product: every right word with the left words whose first
+        symbol is in lo // nr .. (hi - 1) // nr, cut to the codes of slices
+        lo..hi-1 and sorted.  Its temporaries hold the whole left-symbol
+        groups it touches: at most nr * N**(depth-1) entries for each, and
+        N**depth in all."""
         n, nr = self.alphabet_size, self.right.alphabet_size
         lv, rv = self.left.level(depth), self.right.level(depth)
         # each factor word's digits read in base N: the pair of the left
@@ -404,24 +411,17 @@ class ProductMeasure(CylinderMeasure):
                 for f in (lv, rv))
         den = lv.den * rv.den
         lnums, rnums = _fit(lv.nums, den), _fit(rv.nums, den)
-        # slice s pairs the left words starting with s // nr and the right
-        # words starting with s % nr
-        left, right = np.divmod(np.arange(n), nr)
-        lstart, rstart = _bounds(lv), _bounds(rv)
-        width = np.diff(rstart)[right]
-        sizes = np.diff(lstart)[left] * width
-        offset = np.concatenate(([0], np.cumsum(sizes)))
+        lstart, below = _bounds(lv), n ** (depth - 1)
+        sizes = (np.diff(lstart)[:, None] * np.diff(_bounds(rv))).ravel()
 
         def chunk(lo: int, hi: int) -> Level:
-            # the chunk's entry e is pair t of slice s, left word major
-            s = np.repeat(np.arange(lo, hi), sizes[lo:hi])
-            t = np.arange(offset[lo], offset[hi]) - offset[s]
-            i = lstart[left[s]] + t // width[s]
-            j = rstart[right[s]] + t % width[s]
-            codes = nr * u[i] + v[j]
+            i = slice(lstart[lo // nr], lstart[(hi - 1) // nr + 1])
+            codes = (nr * u[i])[:, None] + v
+            keep = (codes >= lo * below) & (codes < hi * below)
+            codes = codes[keep]
             order = np.argsort(codes)
-            return Level(n, depth, codes[order], (lnums[i] * rnums[j])[order],
-                         den)
+            return Level(n, depth, codes[order],
+                         (lnums[i][:, None] * rnums)[keep][order], den)
         return sizes, chunk
 
 

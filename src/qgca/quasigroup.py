@@ -416,13 +416,16 @@ def _nonabelian21() -> Quasigroup:
 
 
 def product(left: Quasigroup, right: Quasigroup) -> Quasigroup:
-    """Componentwise product; combined index is left_index * |right| + right_index."""
+    """Componentwise product; combined index is left_index * |right| + right_index.
+
+    Entry ((a, b), (c, d)) sits at [a, b, c, d] of one broadcast add of the
+    scaled left table and the right table, both first cast to the product's
+    index dtype.  The right table is the last axis, so numpy's inner loop
+    runs over |right| entries."""
     nl, nr = left.order, right.order
-    # entry ((a, b), (c, d)) at [a, b, c, d], formed in the index dtype
-    table = np.empty((nl, nr, nl, nr), index_dtype(nl * nr))
-    np.multiply(left.table[:, None, :, None], np.int32(nr), out=table,
-                casting="unsafe")
-    table += right.table[:, None]
+    dtype = index_dtype(nl * nr)
+    high = (left.table * np.int64(nr)).astype(dtype)
+    table = high[:, None, :, None] + right.table.astype(dtype)[:, None]
     symbols = tuple(f"({left.symbols[a]},{right.symbols[b]})"
                     for a in range(nl) for b in range(nr))
     return Quasigroup(symbols, freeze_table(table.reshape(nl * nr, -1)))

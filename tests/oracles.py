@@ -3,7 +3,7 @@
 These deliberately avoid the library's own enumeration strategies: Latin
 squares and permutative rules by per-line scans, seeded Latin squares by
 recursive backtracking, closed subsets by bitmask scan, pushforwards by
-full preimage enumeration, CA images by the
+full preimage enumeration, CA images and block recodings by the
 automaton's own ``step``, subgroups of a subspace by a recursive walk over
 its vectors, cyclic subspaces by per-vector Krylov insertion,
 invariant subspaces by a closed-set search over all of them, and invariant
@@ -89,6 +89,23 @@ def latin_square_recursive(n: int, rng) -> list[list[int]]:
 
     solve(0)
     return grid
+
+
+def recode_table(rule) -> np.ndarray:
+    """The block recoding's table of a rule with m = l + r >= 1: entry
+    (u, v) is the code of step(u + v) for the blocks u, v of m symbols,
+    listed in lexicographic order and stepped pair by pair by the
+    automaton."""
+    n, m = rule.alphabet_size, rule.left_radius + rule.right_radius
+    blocks = list(product(range(n), repeat=m))
+    table = np.empty((len(blocks), len(blocks)), dtype=np.int64)
+    for u, left in enumerate(blocks):
+        for v, right in enumerate(blocks):
+            code = 0
+            for s in step(rule, left + right):
+                code = code * n + s
+            table[u, v] = code
+    return table
 
 
 def left_permutative_sort(rule) -> bool:

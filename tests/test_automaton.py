@@ -1,3 +1,7 @@
+import random
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from qgca import automaton as ca
@@ -6,7 +10,7 @@ from qgca.errors import (NotBipermutative, ParseError, PeriodTooLarge,
                          WordTooShort)
 from qgca.suite import random_bipermutative_rule, random_word
 
-from oracles import xi_table_bruteforce
+from oracles import recode_table, xi_table_bruteforce
 
 
 def rule_of(name, params=()):
@@ -104,6 +108,36 @@ def test_bipermutativity_is_checked_once_per_rule(monkeypatch, d7):
         ca.fiber_preimages(rule, (0, 1, 2))
     assert ca.is_bipermutative(rule)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n, arity", [(2, 3), (3, 3), (2, 4), (3, 4),
+                                      (2, 5), (2, 6)])
+def test_recode_table_matches_the_stepped_pairs(n, arity):
+    """Every split of the radius, on random rules: the recoded table equals
+    the per-pair steps of the oracle, bytes and dtype."""
+    rng = random.Random(n * 10 + arity)
+    for left in range(arity):
+        table = [rng.randrange(n) for _ in range(n ** arity)]
+        rule = ca.make_rule(n, left, arity - 1 - left, table)
+        got = ca.recode_block(rule).rule.table
+        big = n ** (arity - 1)
+        assert got.dtype == qg.index_dtype(big)
+        assert got.tobytes() == recode_table(rule).astype(got.dtype).tobytes()
+
+
+def test_recode_table_peaks_at_two_tables():
+    """A 1024-symbol recoding is built in place: its peak is the table and
+    one image symbol's read, under 2.5 times the table's bytes."""
+    rng = np.random.default_rng(11)
+    rule = ca.make_rule(2, 4, 6, rng.integers(0, 2, 2 ** 11))
+    tracemalloc.start()
+    try:
+        rec = ca.recode_block(rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.rule.alphabet_size == 1024
+    assert peak <= 2.5 * rec.rule.table.nbytes
 
 
 def test_recode_needs_width():

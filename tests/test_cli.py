@@ -69,6 +69,38 @@ def test_qg_validate_malformed_table_file(capsys, tmp_path, text, message):
     assert (code, out, err) == (2, "", f"input error: {message}")
 
 
+@pytest.mark.parametrize("verb, text, message", [
+    (("eca", "rcf"), "", "empty matrix file"),
+    (("eca", "rcf"), "2\n", 'matrix header must be "p N"'),
+    (("eca", "rcf"), "2 x\n1\n", 'matrix header must be "p N" with integers'),
+    (("eca", "rcf"), "2 2\n1 0\n", "expected 2 matrix rows, got 1"),
+    (("eca", "rcf"), "2 2\n1 0\n1\n", "bad matrix row '1'"),
+    (("eca", "rcf"), "2 2\n1 0\n1 z\n", "bad matrix row '1 z'"),
+    (("eca", "rcf"), "2 0\n", "matrix must be square and nonempty"),
+    (("eca", "rcf"), "4 2\n1 0\n0 1\n", "modulus 4 is not prime"),
+    (("ca", "step"), "", "empty rule file"),
+    (("ca", "step"), "2 0 1\n0 0 0\n", "expected 4 neighbourhood lines, got 1"),
+    (("ca", "step"), "2 0 1\n0 0 0\n0 1 1\n0 0 1\n1 1 0\n",
+     "duplicate neighbourhood (0, 0)"),
+    (("mu", "eval"), "kind\n", "expected key=value, got 'kind'"),
+    (("mu", "eval"), "kind=uniform\nkind=uniform\n", "duplicate key 'kind'"),
+    (("mu", "eval"), "kind=uniform\n", "measure spec missing 'alphabet_size'"),
+    (("mu", "eval"), "kind=nope\n", "unknown measure kind 'nope'"),
+    (("mu", "eval"), "kind=uniform\nalphabet_size=2\nsymbols=a\n",
+     "symbols count must match the alphabet size"),
+])
+def test_malformed_matrix_rule_and_measure_files(capsys, tmp_path, verb, text,
+                                                 message):
+    """Each fault of the matrix, rule and measure file formats exits 2 with
+    its own text: through ``eca rcf FILE``, ``ca step FILE 0`` and
+    ``mu eval FILE 0``."""
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    word = () if verb == ("eca", "rcf") else ("0",)
+    code, out, err = run(capsys, *verb, path, *word)
+    assert (code, out, err) == (2, "", f"input error: {message}")
+
+
 def test_qg_validate_out_writes_file(capsys, tmp_path, fixture_dir):
     out_path = tmp_path / "validate.txt"
     code, stdout, _ = run(capsys, "qg", "validate", fixture_dir / "d7.table",

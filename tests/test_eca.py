@@ -153,20 +153,30 @@ def test_elementary_abelian_table_adds_digits(p, k):
 def test_affine_matrix_system_default_m1_is_the_identity(p, k, rng):
     """With M1 left out, the rule table (a row take) is the one an explicit
     identity M1 gives (row and column takes) and the digit brute force
-    phi(a, b) = M0 a + b."""
+    phi(a, b) = M0 a + b.  A random explicit M1 gives M0 a + M1 b."""
     idx = np.arange(p ** k)
     da = qg.unpack_digits(p, k, idx[:, None])
     db = qg.unpack_digits(p, k, idx[None, :])
-    for _ in range(4):
-        m0 = mf.MatrixFp.from_rows(
+
+    def random_matrix():
+        return mf.MatrixFp.from_rows(
             p, [[rng.randrange(p) for _ in range(k)] for _ in range(k)])
+
+    def image(mat, digits):
+        return [sum(c * d for c, d in zip(row, digits)) for row in mat.rows]
+
+    for _ in range(4):
+        m0, m1 = random_matrix(), random_matrix()
         g, rule = eca.affine_matrix_system(m0)
         _, explicit = eca.affine_matrix_system(m0, mf.MatrixFp.identity(p, k))
-        brute = qg.pack_digits(p, [sum(c * d for c, d in zip(row, da)) + b
-                                   for row, b in zip(m0.rows, db)])
+        brute = qg.pack_digits(p, [a + b for a, b in zip(image(m0, da), db)])
         assert rule == explicit
         assert np.array_equal(rule.table, brute)
         assert g == gr.elementary_abelian_group(p, k)
+        _, mixed = eca.affine_matrix_system(m0, m1)
+        brute = qg.pack_digits(p, [a + b for a, b in zip(image(m0, da),
+                                                         image(m1, db))])
+        assert np.array_equal(mixed.table, brute)
 
 
 def test_rule_group_size_mismatch_message():

@@ -103,6 +103,38 @@ def test_nested_images_of_every_base_kind_match_the_oracle():
                 == list(oracles.positive_words(base, depth))
 
 
+PRODUCT_FACTORS = {
+    2: (mu.UniformMeasure(2), mu.BernoulliMeasure([F(1, 3), F(2, 3)]),
+        mu.OrbitMeasure(2, [0, 1, 1])),
+    3: (mu.UniformMeasure(3), mu.BernoulliMeasure([F(1, 2), F(1, 3), F(1, 6)]),
+        mu.BernoulliMeasure([F(1, 2), F(0), F(1, 2)])),
+}
+
+
+@pytest.mark.parametrize("nl, nr", [(2, 3), (3, 2)])
+def test_products_of_two_and_three_symbols_match_the_per_word_oracle(nl, nr):
+    """Uniform, full-support and sparse factors at depths 1..5.  Besides the
+    chunks ``_slices`` takes, every chunk lo..hi-1 is built: ones that cut
+    the slices of a left symbol and ones that span several left symbols.
+    Each is the level's run of codes in [lo, hi) * N**(depth-1)."""
+    n = nl * nr
+    for left in PRODUCT_FACTORS[nl]:
+        for right in PRODUCT_FACTORS[nr]:
+            m = mu.ProductMeasure(left, right)
+            for depth in range(1, 6):
+                assert list(m.positive_words(depth)) \
+                    == list(oracles.positive_words(m, depth))
+                check_slices(m, depth)
+                lv, cap = m.level(depth), n ** (depth - 1)
+                sizes, build = m._parts(depth)
+                for lo in range(n):
+                    for hi in range(lo + 1, n + 1):
+                        a, b = np.searchsorted(lv.codes, [lo * cap, hi * cap])
+                        assert sizes[lo:hi].sum() == b - a
+                        assert arrays(build(lo, hi)) == arrays(mu.Level(
+                            n, depth, lv.codes[a:b], lv.nums[a:b], lv.den))
+
+
 def test_sliced_levels_widen_to_python_ints_past_int64():
     p = 2 ** 31 - 1
     xor = ca.from_quasigroup(qg.builtin("ledrappier", [2, 1, 1]))
@@ -265,6 +297,18 @@ def test_d7_depth6_invariance_holds_no_level_seven():
     assert (rep.max_abs_deviation, rep.worst_word) == (0, None)
     # the whole level 7 alone is 2 * 7**7 entries
     assert peak <= 8 * 7 ** 6 * INT64.itemsize
+
+
+@pytest.mark.parametrize("nl, nr", [(2, 3), (3, 2)])
+def test_dense_product_invariance_peak(nl, nr):
+    """A chunk of a uniform 2 x 3 or 3 x 2 product is one slice, built from
+    the left words of its first symbol and every right word: the depth-6
+    sweep peaks under 15 * 6**6 int64 entries."""
+    m = mu.ProductMeasure(mu.UniformMeasure(nl), mu.UniformMeasure(nr))
+    rule = ca.from_quasigroup(qg.builtin("cyclic", [6]))
+    rep, peak = traced_peak(mu.invariance_report, m, 6, rule)
+    assert (rep.max_abs_deviation, rep.worst_word) == (0, None)
+    assert peak <= 15 * 6 ** 6 * INT64.itemsize
 
 
 def test_d7_fiber_spectrum_holds_about_its_rows():

@@ -107,3 +107,26 @@ def test_the_long_and_short_mutant_cancels_in_flat_images():
     fibers = _long_and_short(rule, w, ca.fiber_preimages(rule, w))
     assert len(set(fibers)) == 5
     assert [rows[a][b] for f in fibers for a, b in zip(f, f[1:])] == list(w) * 5
+
+
+def test_criterion_3_checks_every_rule_to_the_asked_depth(monkeypatch):
+    """Only the enumeration bound stops a rule: at depth 6 the quaternion
+    rule (8**6 words) is checked, at every depth 1..6."""
+    seen = []
+    real = suite.mu.invariance_report
+
+    def spy(m, depth, rule=None):
+        seen.append((rule.alphabet_size, depth))
+        return real(m, depth, rule)
+    monkeypatch.setattr(suite.mu, "invariance_report", spy)
+    [row] = suite.criterion_3(6)
+    assert row.status == "PASS"
+    assert [(8, d) for d in range(1, 7)] == [s for s in seen if s[0] == 8]
+    assert len(seen) == 27 * 6
+
+
+def test_criterion_3_past_the_bound_is_a_fail_row():
+    rows = [r for r in suite.paper_suite(7) if r.criterion == 3]
+    assert rows == [suite.SuiteRow(
+        3, "criterion-3", "FAIL",
+        "DepthTooLarge: 8^7 cylinder words exceed bound 1048576")]
