@@ -10,9 +10,9 @@ from .automaton import (LocalRule, dual_rule, fiber_preimages, from_quasigroup,
 from .measure import (BernoulliMeasure, CylinderMeasure, MarkovMeasure,
                       OrbitMeasure, ProductMeasure, UniformMeasure,
                       block_entropy, conditional_dist, coset_measure_check,
-                      entropy_rate_profile, eval_cylinder, example11,
-                      fiber_spectrum, invariance_report, pushforward_ca,
-                      pushforward_shift, support_alphabet)
+                      entropy_profile, entropy_rate_profile, eval_cylinder,
+                      example11, fiber_spectrum, invariance_report,
+                      pushforward_ca, pushforward_shift, support_alphabet)
 from .groups import (GroupTable, cyclic_group, elementary_abelian_group,
                      from_quasigroup as group_from_quasigroup, group_product,
                      nonabelian21_group, quaternion_group)

@@ -13,10 +13,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (NotBipermutative, ParseError, PeriodTooLarge,
-                     TableTooLarge, WordTooShort)
-from .quasigroup import (Quasigroup, first_repeat, freeze_table, index_dtype,
-                         int_rows, pack_digits, row_inverses, unpack_digits)
+from .errors import NotBipermutative, ParseError, PeriodTooLarge, WordTooShort
+from .quasigroup import (Quasigroup, check_table_size, first_repeat,
+                         freeze_table, index_dtype, int_rows, pack_digits,
+                         row_inverses, unpack_digits)
 
 RULE_TABLE_BOUND = 2 ** 24
 PERIODIC_STATE_BOUND = 2 ** 20
@@ -80,8 +80,7 @@ class LocalRule:
 def make_rule(alphabet_size: int, left_radius: int, right_radius: int,
               table) -> LocalRule:
     n, arity = alphabet_size, left_radius + right_radius + 1
-    if n ** arity > RULE_TABLE_BOUND:
-        raise TableTooLarge(n ** arity, RULE_TABLE_BOUND)
+    check_table_size(n ** arity)
     arr = np.asarray(table).reshape((n,) * arity)
     # range-check before narrowing, so no entry wraps into 0..N-1
     if arr.min() < 0 or arr.max() >= n:
@@ -280,8 +279,7 @@ def recode_block(rule: LocalRule) -> BlockRecoding:
     if m == 1 and rule.is_rnnca:
         return BlockRecoding(rule, 1, n)
     big = n ** m
-    if big * big > RULE_TABLE_BOUND:
-        raise TableTooLarge(big * big, RULE_TABLE_BOUND)
+    check_table_size(big * big)
     u = np.arange(big)
     table = np.zeros((big, big), dtype=index_dtype(big))
     for z in range(m):
@@ -320,8 +318,7 @@ def parse_rule(text: str, resolve: Callable[[str], Quasigroup] | None = None
     if n < 1 or l < 0 or r < 0:
         raise ParseError("need N >= 1, l >= 0, r >= 0")
     arity = l + r + 1
-    if n ** arity > RULE_TABLE_BOUND:
-        raise TableTooLarge(n ** arity, RULE_TABLE_BOUND)
+    check_table_size(n ** arity)
     table = np.full((n,) * arity, -1, dtype=np.int64)
     if len(lines) != 1 + n ** arity:
         raise ParseError(f"expected {n ** arity} neighbourhood lines, "

@@ -13,6 +13,11 @@ the path ``argv`` names (the top parser, the group's, the verb's); help,
 usage and error output are the same as from the full parser, which it
 builds when ``argv`` names no verb.
 
+A handler takes resolved inputs and returns its report: the text, or (exit
+code, text) when the report carries a verdict.  ``main`` resolves every input
+(``_INPUTS``) and word in the verb's argument order, so the first bad one is
+reported, and alone writes the report, to stdout or to ``--out``.
+
 Exit codes: 0 success, or output cut off by a reader that closed stdout
 early (the result is then unknown), 1 analysis failure or falsification, 2
 bad input, 3 resource bound exceeded.
@@ -23,16 +28,16 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from . import automaton as ca
 from . import eca as eca_mod
+from . import fixtures
 from . import matfp
 from . import measure as mu
 from . import quasigroup as qg
 from .errors import (AnalysisError, BadParams, BoundError, InputError,
                      ParseError)
-from .fixtures import (export_fixtures, resolve_group, resolve_matrix,
-                       resolve_measure, resolve_rule, resolve_table)
 from .measure import format_fraction, parse_fraction
 from .suite import paper_suite
 
@@ -42,9 +47,8 @@ def _fmt_float(v: float) -> str:
 
 
 def _parse_word(text: str, symbols, n: int) -> tuple[int, ...]:
-    tokens = text.split()
     out = []
-    for tok in tokens:
+    for tok in text.split():
         if symbols is not None and tok in symbols:
             out.append(symbols.index(tok))
             continue
@@ -64,167 +68,133 @@ def _names(word, symbols) -> str:
     return " ".join(symbols[s] for s in word)
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        from pathlib import Path
-        Path(out_path).write_text(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
-
-
 # ---------------------------------------------------------------------------
 # qg
 
-def _cmd_qg_validate(args) -> int:
-    q = resolve_table(args.table)
-    _emit(f"LATIN OK N={q.order}", args.out)
-    return 0
+def _cmd_qg_validate(args) -> str:
+    return f"LATIN OK N={args.table.order}"
 
 
-def _cmd_qg_dual(args) -> int:
-    q = resolve_table(args.table)
-    _emit(qg.format_table(qg.dual(q)), args.out)
-    return 0
+def _cmd_qg_dual(args) -> str:
+    return qg.format_table(qg.dual(args.table))
 
 
-def _cmd_qg_sub(args) -> int:
-    q = resolve_table(args.table)
+def _cmd_qg_sub(args) -> str:
+    q = args.table
     subs = qg.subquasigroups(q, include_trivial=args.include_trivial)
     lines = ["size\tmembers"]
     for s in subs:
         lines.append(f"{len(s)}\t" + " ".join(q.symbols[i] for i in s))
-    _emit("\n".join(lines), args.out)
-    return 0
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # ca
 
-def _cmd_ca_step(args) -> int:
+def _cmd_ca_step(args) -> str:
     if args.times < 0:
         raise BadParams(f"--times must be nonnegative, got {args.times}")
-    rule, symbols = resolve_rule(args.rule)
-    w = _parse_word(args.word, symbols, rule.alphabet_size)
+    rule, symbols = args.rule
+    w = args.word
     for _ in range(args.times):
         w = ca.step(rule, w)
-    _emit(_names(w, symbols), args.out)
-    return 0
+    return _names(w, symbols)
 
 
-def _cmd_ca_orbit(args) -> int:
-    rule, symbols = resolve_rule(args.rule)
-    w = _parse_word(args.word, symbols, rule.alphabet_size)
-    pre, per = ca.orbit_period(rule, w)
-    _emit(f"preperiod={pre} period={per}", args.out)
-    return 0
+def _cmd_ca_orbit(args) -> str:
+    rule, _ = args.rule
+    pre, per = ca.orbit_period(rule, args.word)
+    return f"preperiod={pre} period={per}"
 
 
-def _cmd_ca_fiber(args) -> int:
-    rule, symbols = resolve_rule(args.rule)
-    w = _parse_word(args.word, symbols, rule.alphabet_size)
+def _cmd_ca_fiber(args) -> str:
+    rule, symbols = args.rule
     lines = ["first_symbol\tpreimage"]
-    for b, f in enumerate(ca.fiber_preimages(rule, w)):
+    for b, f in enumerate(ca.fiber_preimages(rule, args.word)):
         name = symbols[b] if symbols else str(b)
         lines.append(f"{name}\t{_names(f, symbols)}")
-    _emit("\n".join(lines), args.out)
-    return 0
+    return "\n".join(lines)
 
 
-def _cmd_ca_xi(args) -> int:
-    rule, symbols = resolve_rule(args.rule)
-    w = _parse_word(args.word, symbols, rule.alphabet_size)
+def _cmd_ca_xi(args) -> str:
+    rule, symbols = args.rule
+    w = args.word
     out = ca.xi_inverse(rule, w) if args.inverse else ca.xi(rule, w)
-    _emit(_names(out, symbols), args.out)
-    return 0
+    return _names(out, symbols)
 
 
-def _cmd_ca_dual(args) -> int:
-    rule, _ = resolve_rule(args.rule)
-    _emit(ca.format_rule(ca.dual_rule(rule)), args.out)
-    return 0
+def _cmd_ca_dual(args) -> str:
+    rule, _ = args.rule
+    return ca.format_rule(ca.dual_rule(rule))
 
 
-def _cmd_ca_recode(args) -> int:
-    rule, _ = resolve_rule(args.rule)
+def _cmd_ca_recode(args) -> str:
+    rule, _ = args.rule
     rec = ca.recode_block(rule)
     lines = [f"block={rec.block} alphabet={rec.rule.alphabet_size}"]
     if args.word:
-        w = _parse_word(args.word, None, rule.alphabet_size)
-        enc = rec.encode(w)
+        enc = rec.encode(args.word)
         lines.append("encoded\t" + " ".join(str(v) for v in enc))
         lines.append("stepped\t" + " ".join(str(v)
                                             for v in ca.step(rec.rule, enc)))
     lines.append(ca.format_rule(rec.rule).rstrip("\n"))
-    _emit("\n".join(lines), args.out)
-    return 0
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # mu
 
-def _cmd_mu_eval(args) -> int:
-    doc = resolve_measure(args.measure)
-    w = _parse_word(args.word, doc.symbols, doc.measure.alphabet_size)
-    _emit(format_fraction(mu.eval_cylinder(doc.measure, w)), args.out)
-    return 0
+def _cmd_mu_eval(args) -> str:
+    return format_fraction(mu.eval_cylinder(args.measure.measure, args.word))
 
 
-def _cmd_mu_invariance(args) -> int:
-    doc = resolve_measure(args.measure)
+def _cmd_mu_invariance(args) -> tuple[int, str]:
+    doc = args.measure
     rule = None
     if args.ca:
-        rule, _ = resolve_rule(args.ca)
+        rule, _ = args.ca
     rep = mu.invariance_report(doc.measure, args.depth, rule)
     worst = "-" if rep.worst_word is None else _names(rep.worst_word, doc.symbols)
-    _emit(f"transform={rep.transform} depth={rep.depth} "
-          f"max_dev={format_fraction(rep.max_abs_deviation)} worst={worst}",
-          args.out)
-    return 0 if rep.max_abs_deviation == 0 else 1
+    return (0 if rep.max_abs_deviation == 0 else 1,
+            f"transform={rep.transform} depth={rep.depth} "
+            f"max_dev={format_fraction(rep.max_abs_deviation)} worst={worst}")
 
 
-def _cmd_mu_entropy(args) -> int:
-    doc = resolve_measure(args.measure)
+def _cmd_mu_entropy(args) -> str:
     lines = ["depth\tblock_entropy\tincrement"]
-    profile = mu.entropy_rate_profile(doc.measure, args.depth)
-    for k in range(1, args.depth + 1):
-        h = mu.block_entropy(doc.measure, k)
-        inc = _fmt_float(profile[k - 2]) if k >= 2 else "-"
+    blocks, increments = mu.entropy_profile(args.measure.measure, args.depth)
+    for k, h in enumerate(blocks, 1):
+        inc = _fmt_float(increments[k - 2]) if k >= 2 else "-"
         lines.append(f"{k}\t{_fmt_float(h)}\t{inc}")
-    _emit("\n".join(lines), args.out)
-    return 0
+    return "\n".join(lines)
 
 
-def _cmd_mu_conditional(args) -> int:
-    doc = resolve_measure(args.measure)
-    w = _parse_word(args.word, doc.symbols, doc.measure.alphabet_size)
-    dist = mu.conditional_dist(doc.measure, w)
+def _cmd_mu_conditional(args) -> str:
+    doc = args.measure
+    dist = mu.conditional_dist(doc.measure, args.word)
     lines = ["symbol\tweight"]
     for b, v in enumerate(dist):
         name = doc.symbols[b] if doc.symbols else str(b)
         lines.append(f"{name}\t{format_fraction(v)}")
-    _emit("\n".join(lines), args.out)
-    return 0
+    return "\n".join(lines)
 
 
-def _cmd_mu_cmeasure(args) -> int:
-    doc = resolve_measure(args.measure)
-    g = resolve_group(args.group)
-    members = _parse_word(args.subgroup, g.symbols, g.order)
-    rep = mu.coset_measure_check(doc.measure, g, members, args.depth,
-                                 args.mass_floor)
+def _cmd_mu_cmeasure(args) -> tuple[int, str]:
+    doc = args.measure
+    rep = mu.coset_measure_check(doc.measure, args.group, args.subgroup,
+                                 args.depth, args.mass_floor)
     lines = [f"passed={rep.passed} depth={rep.depth} "
              f"checked={rep.words_checked} "
              f"shift_dev={format_fraction(rep.shift_deviation)}"]
     if not rep.passed:
         lines.append(f"worst={_names(rep.worst_word, doc.symbols)} "
                      f"reason={rep.worst_reason}")
-    _emit("\n".join(lines), args.out)
-    return 0 if rep.passed else 1
+    return (0 if rep.passed else 1), "\n".join(lines)
 
 
-def _cmd_mu_fibers(args) -> int:
-    doc = resolve_measure(args.measure)
-    rule, _ = resolve_rule(args.rule)
+def _cmd_mu_fibers(args) -> str:
+    doc = args.measure
+    rule, _ = args.rule
     rep = mu.fiber_spectrum(doc.measure, rule, args.depth, args.mass_floor)
     lines = ["word\ttotal_mass\tsupport\tweights"]
     for r in rep.rows:
@@ -237,25 +207,22 @@ def _cmd_mu_fibers(args) -> int:
     lines.append(f"K_estimate={rep.K_estimate} eta={eta} "
                  f"entropy_check={_fmt_float(rep.entropy_check)} "
                  f"invariance_dev={format_fraction(rep.invariance_deviation)}")
-    _emit("\n".join(lines), args.out)
-    return 0
+    return "\n".join(lines)
 
 
-def _cmd_mu_support(args) -> int:
-    doc = resolve_measure(args.measure)
+def _cmd_mu_support(args) -> str:
+    doc = args.measure
     symbols, full = mu.support_alphabet(doc.measure, args.depth)
     name = (lambda b: doc.symbols[b]) if doc.symbols else str
-    _emit(f"symbols={' '.join(name(b) for b in sorted(symbols))}\n"
-          f"full_shift_over_support={full}", args.out)
-    return 0
+    return (f"symbols={' '.join(name(b) for b in sorted(symbols))}\n"
+            f"full_shift_over_support={full}")
 
 
-def _cmd_mu_example11(args) -> int:
-    g_c = resolve_group(args.group)
+def _cmd_mu_example11(args) -> tuple[int, str]:
     from .groups import group_product, quaternion_group
-    combined = group_product(g_c, quaternion_group())
+    combined = group_product(args.group, quaternion_group())
     rule = ca.from_quasigroup(combined.quasigroup())
-    m = mu.example11(g_c)
+    m = mu.example11(args.group)
     d = args.depth
     shift = mu.invariance_report(m, d).max_abs_deviation
     phi = mu.invariance_report(m, d, rule).max_abs_deviation
@@ -265,16 +232,15 @@ def _cmd_mu_example11(args) -> int:
              f"shift_dev\t{format_fraction(shift)}",
              f"ca_dev\t{format_fraction(phi)}",
              "entropy_increments\t" + " ".join(_fmt_float(v) for v in prof)]
-    _emit("\n".join(lines), args.out)
-    return 0 if shift == 0 and phi == 0 else 1
+    return (0 if shift == 0 and phi == 0 else 1), "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # eca
 
-def _cmd_eca_decompose(args) -> int:
-    rule, _ = resolve_rule(args.rule)
-    g = resolve_group(args.group)
+def _cmd_eca_decompose(args) -> str:
+    rule, _ = args.rule
+    g = args.group
     dec = eca_mod.decompose_affine(rule, g)
     lines = [f"phi0_automorphism={dec.phi0_automorphism} "
              f"phi1_automorphism={dec.phi1_automorphism} "
@@ -284,13 +250,12 @@ def _cmd_eca_decompose(args) -> int:
         for a in range(g.order):
             lines.append(f"{g.symbols[a]}\t{g.symbols[dec.phi0[a]]}\t"
                          f"{g.symbols[dec.phi1[a]]}")
-    _emit("\n".join(lines), args.out)
-    return 0
+    return "\n".join(lines)
 
 
-def _cmd_eca_kernel(args) -> int:
-    rule, _ = resolve_rule(args.rule)
-    g = resolve_group(args.group)
+def _cmd_eca_kernel(args) -> str:
+    rule, _ = args.rule
+    g = args.group
     rep = eca_mod.kernel(rule, g)
     lines = ["symbol\trho\tperiod\tkernel_word"]
     shown = range(g.order) if g.order <= 64 else range(8)
@@ -301,13 +266,12 @@ def _cmd_eca_kernel(args) -> int:
                      f"{rep.periods[a]}\t{word}")
     if g.order > 64:
         lines.append(f"... {g.order - 8} more symbols")
-    _emit("\n".join(lines), args.out)
-    return 0
+    return "\n".join(lines)
 
 
-def _cmd_eca_orbits(args) -> int:
-    rule, _ = resolve_rule(args.rule)
-    g = resolve_group(args.group)
+def _cmd_eca_orbits(args) -> str:
+    rule, _ = args.rule
+    g = args.group
     rep = eca_mod.kernel(rule, g)
     orb = eca_mod.rho_orbits(rep.rho, g)
     lines = [f"orbits={len(orb.orbits)} single_orbit={orb.single_orbit}"]
@@ -316,61 +280,52 @@ def _cmd_eca_orbits(args) -> int:
             lines.append(" ".join(g.symbols[v] for v in cyc))
         else:
             lines.append(f"(cycle of length {len(cyc)} from {g.symbols[cyc[0]]})")
-    _emit("\n".join(lines), args.out)
-    return 0
+    return "\n".join(lines)
 
 
-def _cmd_eca_invsubgroups(args) -> int:
-    g = resolve_group(args.group)
+def _cmd_eca_invsubgroups(args) -> str:
+    g = args.group
     rho = None
     if args.rule:
-        rule, _ = resolve_rule(args.rule)
+        rule, _ = args.rule
         rho = eca_mod.kernel(rule, g).rho
     subs = eca_mod.invariant_subgroups(g, rho)
     lines = ["order\tmembers"]
     for s in subs:
         lines.append(f"{len(s)}\t" + " ".join(g.symbols[i] for i in s))
-    _emit("\n".join(lines), args.out)
-    return 0
+    return "\n".join(lines)
 
 
-def _cmd_eca_hmax(args) -> int:
-    g = resolve_group(args.group)
-    _emit(f"h_max={_fmt_float(eca_mod.h_max(g))}", args.out)
-    return 0
+def _cmd_eca_hmax(args) -> str:
+    return f"h_max={_fmt_float(eca_mod.h_max(args.group))}"
 
 
-def _cmd_eca_charpoly(args) -> int:
-    m = resolve_matrix(args.matrix)
-    _emit(f"char={matfp.p_str(matfp.char_poly(m))}\n"
-          f"min={matfp.p_str(matfp.min_poly(m))}", args.out)
-    return 0
+def _cmd_eca_charpoly(args) -> str:
+    m = args.matrix
+    return (f"char={matfp.p_str(matfp.char_poly(m))}\n"
+            f"min={matfp.p_str(matfp.min_poly(m))}")
 
 
-def _cmd_eca_rcf(args) -> int:
-    m = resolve_matrix(args.matrix)
-    result = matfp.rcf(m)
+def _cmd_eca_rcf(args) -> str:
+    result = matfp.rcf(args.matrix)
     lines = [f"simple={result.simple} blocks={len(result.invariant_factors)}"]
     for f in result.invariant_factors:
         lines.append(matfp.p_str(f))
-    _emit("\n".join(lines), args.out)
-    return 0
+    return "\n".join(lines)
 
 
-def _cmd_eca_invsubspaces(args) -> int:
-    m = resolve_matrix(args.matrix)
-    spaces = matfp.invariant_subspaces(m)
+def _cmd_eca_invsubspaces(args) -> str:
+    spaces = matfp.invariant_subspaces(args.matrix)
     lines = [f"count={len(spaces)}"]
     for basis in spaces:
         lines.append(f"dim={len(basis)}\t" +
                      " | ".join(" ".join(str(v) for v in row) for row in basis))
-    _emit("\n".join(lines), args.out)
-    return 0
+    return "\n".join(lines)
 
 
-def _cmd_eca_audit(args) -> int:
-    rule, _ = resolve_rule(args.rule)
-    g = resolve_group(args.group)
+def _cmd_eca_audit(args) -> str:
+    rule, _ = args.rule
+    g = args.group
     rep = eca_mod.lemma_audit(g, rule)
     lines = [
         f"single_orbit={rep.single_orbit} orbit_count={len(rep.orbits)}",
@@ -392,26 +347,23 @@ def _cmd_eca_audit(args) -> int:
                                for row in rep.subspace_witness)
             lines.append(f"subspace_witness={basis}")
         lines.append(f"rcf_lemma={rep.rcf_lemma_verdict}")
-    _emit("\n".join(lines), args.out)
-    return 0
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # suite and fixtures
 
-def _cmd_paper_suite(args) -> int:
+def _cmd_paper_suite(args) -> tuple[int, str]:
     rows = paper_suite(depth=args.depth, seed=args.seed)
     lines = ["criterion\tname\tstatus\tdetail"]
     for r in rows:
         lines.append(f"{r.criterion}\t{r.name}\t{r.status}\t{r.detail}")
-    _emit("\n".join(lines), args.out)
-    return 1 if any(r.status == "FAIL" for r in rows) else 0
+    return (1 if any(r.status == "FAIL" for r in rows) else 0,
+            "\n".join(lines))
 
 
-def _cmd_export_fixtures(args) -> int:
-    written = export_fixtures(args.directory)
-    print("\n".join(written))
-    return 0
+def _cmd_export_fixtures(args) -> str:
+    return "\n".join(fixtures.export_fixtures(args.directory))
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +483,47 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     return top
 
 
+# Input arguments by name, each with the ``fixtures`` resolver of its file
+# path or @spec, looked up when it runs so a wrapper set on ``fixtures`` sees
+# the call; then the word arguments, and the alphabet (symbol names or None,
+# size) of each input that a word can follow.  A rule resolves to a pair.
+_INPUTS = {"table": "resolve_table", "rule": "resolve_rule",
+           "ca": "resolve_rule", "group": "resolve_group",
+           "measure": "resolve_measure", "matrix": "resolve_matrix"}
+_WORDS = ("word", "subgroup")
+_ALPHABETS = {"rule": lambda pair: (pair[1], pair[0].alphabet_size),
+              "group": lambda g: (g.symbols, g.order),
+              "measure": lambda doc: (doc.symbols, doc.measure.alphabet_size)}
+
+
+def _read_inputs(args) -> None:
+    """Replace each input and word given in ``args``, in the verb's argument
+    order: an input by its object, a word by its symbol indices in the
+    alphabet of the input named before it."""
+    last = None
+    for arg in next(row[3] for row in _VERBS if row[2] is args.fn):
+        dest = (arg if isinstance(arg, str) else arg[0]).lstrip("-")
+        text = vars(args).get(dest)
+        if text is not None and dest in _INPUTS:
+            setattr(args, dest, getattr(fixtures, _INPUTS[dest])(text))
+            last = dest
+        elif text is not None and dest in _WORDS:
+            symbols, n = _ALPHABETS[last](getattr(args, last))
+            setattr(args, dest, _parse_word(text, symbols, n))
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv).parse_args(argv)
     try:
-        code = args.fn(args)
+        _read_inputs(args)
+        report = args.fn(args)
+        code, text = report if isinstance(report, tuple) else (0, report)
+        if vars(args).get("out"):
+            Path(args.out).write_text(
+                text if text.endswith("\n") else text + "\n")
+        else:
+            print(text)
         # a reader gone before the buffered report is written fails here,
         # not in the interpreter's flush at exit
         sys.stdout.flush()

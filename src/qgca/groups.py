@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import BadParams, NotAGroup, OrderTooLarge, ParseError
 from .quasigroup import (Quasigroup, associativity_witness, builtin,
-                         format_table, parse_table, product, row_solutions)
+                         check_table_size, format_table, parse_table, product,
+                         row_solutions)
 
 ASSOCIATIVITY_CHECK_BOUND = 1024
 
@@ -136,6 +137,7 @@ def elementary_abelian_group(p: int, k: int) -> GroupTable:
     """
     if p < 2 or k < 1:
         raise BadParams(f"need p >= 2 and k >= 1, got ({p}, {k})")
+    check_table_size(p ** (2 * k))
     q = z_p = builtin("cyclic", [p])
     for _ in range(k - 1):
         q = product(z_p, q)

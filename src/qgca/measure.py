@@ -33,11 +33,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .automaton import LocalRule, fiber_preimages, is_bipermutative
+from .automaton import LocalRule, fiber_preimages, is_bipermutative, load_rule
 from .errors import (AlphabetMismatch, AlphabetSizeMismatch, BadParams,
                      DepthTooLarge, NotASubgroup, NotBipermutative, ParseError,
                      WordTooShort, ZeroMassCondition, read_int)
@@ -632,18 +633,21 @@ def block_entropy(m: CylinderMeasure, depth: int) -> float:
     return _combo_float(_entropy_combo([m.level(depth)]))
 
 
-def entropy_rate_profile(m: CylinderMeasure, n_max: int) -> list[float]:
-    """Increments H_{k+1} - H_k for k = 1..n_max-1.
-
-    Each increment is floated from the exact difference of the two depth
-    combinations, so measures with dyadic masses give exact answers.
-    """
+def entropy_profile(m: CylinderMeasure,
+                    n_max: int) -> tuple[list[float], list[float]]:
+    """Block entropies H_k for k = 1..n_max, each level built once, and the
+    increments H_{k+1} - H_k.  Each is floated from an exact combination, an
+    increment from the difference of two, so dyadic masses come out exact."""
     _check_depth(m.alphabet_size, n_max)
-    if n_max < 2:
-        return []
     combos = [_entropy_combo([m.level(k)]) for k in range(1, n_max + 1)]
-    return [_combo_float(_combo_sub(combos[k + 1], combos[k]))
-            for k in range(n_max - 1)]
+    return ([_combo_float(c) for c in combos],
+            [_combo_float(_combo_sub(b, a))
+             for a, b in zip(combos, combos[1:])])
+
+
+def entropy_rate_profile(m: CylinderMeasure, n_max: int) -> list[float]:
+    """Increments H_{k+1} - H_k for k = 1..n_max-1, in bits."""
+    return entropy_profile(m, n_max)[1]
 
 
 def conditional_dist(m: CylinderMeasure, word: Sequence[int]) -> list[Fraction]:
@@ -926,8 +930,6 @@ class MeasureDoc:
 
 
 def parse_measure(text: str, base_dir=None) -> MeasureDoc:
-    from pathlib import Path
-
     fields: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -971,7 +973,6 @@ def parse_measure(text: str, base_dir=None) -> MeasureDoc:
     elif kind == "product":
         measure = ProductMeasure(nested("left"), nested("right"))
     elif kind == "pushforward_ca":
-        from .automaton import load_rule
         if base_dir is None:
             raise ParseError("no base directory for nested rule reference")
         rule = load_rule(Path(base_dir) / need("rule"))
@@ -990,6 +991,5 @@ def parse_measure(text: str, base_dir=None) -> MeasureDoc:
 
 
 def load_measure(path) -> MeasureDoc:
-    from pathlib import Path
     p = Path(path)
     return parse_measure(p.read_text(), base_dir=p.parent)

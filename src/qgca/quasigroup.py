@@ -14,8 +14,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (BadEntry, BadParams, DuplicateInColumn, DuplicateInRow,
-                     OrderTooLarge, ParseError, TooLarge, UnknownName,
-                     read_int)
+                     OrderTooLarge, ParseError, TableTooLarge, TooLarge,
+                     UnknownName, read_int)
 
 # largest order the closed-subset enumerators accept
 CLOSURE_ORDER_BOUND = 64
@@ -73,6 +73,14 @@ def index_dtype(n: int) -> np.dtype:
     0..n-1: int16 up to 2**15 symbols, int32 above.  Every symbol-index
     table is stored in it; arithmetic that can leave 0..n-1 must widen."""
     return np.dtype(np.int16 if n <= 2 ** 15 else np.int32)
+
+
+def check_table_size(entries: int) -> None:
+    """Raise TableTooLarge, before a rule or quasigroup table is allocated,
+    when its entries exceed ``automaton.RULE_TABLE_BOUND``."""
+    from .automaton import RULE_TABLE_BOUND     # automaton imports this module
+    if entries > RULE_TABLE_BOUND:
+        raise TableTooLarge(entries, RULE_TABLE_BOUND)
 
 
 # Entries per block of every table pass.  A block's temporaries then stay
@@ -379,6 +387,7 @@ def _shifts(n: int):
 def _cyclic(n: int) -> Quasigroup:
     if n < 1:
         raise BadParams(f"cyclic order must be positive, got {n}")
+    check_table_size(n * n)
     return Quasigroup(tuple(str(i) for i in range(n)), freeze_table(_shifts(n)))
 
 
@@ -387,6 +396,7 @@ def _ledrappier(p: int, c0: int, c1: int) -> Quasigroup:
         raise BadParams(f"ledrappier modulus must be prime, got {p}")
     if not (0 < c0 % p and 0 < c1 % p):
         raise BadParams("ledrappier coefficients must be nonzero mod p")
+    check_table_size(p * p)
     idx = np.arange(p)
     table = _shifts(p)[np.ix_(c0 * idx % p, c1 * idx % p)]
     return Quasigroup(tuple(str(i) for i in range(p)), freeze_table(table))
@@ -423,6 +433,7 @@ def product(left: Quasigroup, right: Quasigroup) -> Quasigroup:
     index dtype.  The right table is the last axis, so numpy's inner loop
     runs over |right| entries."""
     nl, nr = left.order, right.order
+    check_table_size((nl * nr) ** 2)
     dtype = index_dtype(nl * nr)
     high = (left.table * np.int64(nr)).astype(dtype)
     table = high[:, None, :, None] + right.table.astype(dtype)[:, None]

@@ -179,6 +179,40 @@ def test_a_closed_stdout_is_not_an_error(flags):
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 
+# the child caps its own address space at 2 GiB, then times ``main`` alone
+_CAPPED_CHILD = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+from qgca.cli import main
+start = time.perf_counter()
+code = main(sys.argv[2:])
+with open(sys.argv[1], "w") as f:
+    f.write(str(time.perf_counter() - start))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("spec, entries", [
+    ("@cyclic,40000", 40000 ** 2),
+    ("@ledrappier,40009,1,1", 40009 ** 2),
+    ("@product,cyclic,200,cyclic,200", 40000 ** 2),
+])
+def test_a_builtin_table_past_the_bound_exits_3(tmp_path, spec, entries):
+    """Refused before its N**2 entries are allocated: exit 3 and the bound
+    line, with no traceback, within a 2 GiB address space and in under 1 s
+    (the table alone would take about 6 GiB)."""
+    src = Path(cli.__file__).resolve().parents[1]
+    seconds = tmp_path / "seconds"
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CHILD, str(seconds), "qg", "validate",
+         spec], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    assert proc.stderr == (f"bound exceeded: rule table with {entries} "
+                           "entries exceeds bound 16777216\n")
+    assert float(seconds.read_text()) < 1
+
+
 def test_qg_sub_output(capsys, fixture_dir):
     code, out, _ = run(capsys, "qg", "sub", fixture_dir / "d7.table")
     assert code == 0
@@ -218,6 +252,9 @@ def test_ca_step_negative_times_is_bad_input(capsys):
                          "--times", "-1")
     assert (code, out) == (2, "")
     assert err == "input error: --times must be nonnegative, got -1"
+    # inputs are read before the verb runs: an unreadable rule comes first
+    code, out, err = run(capsys, "ca", "step", "@nope", "i", "--times", "-1")
+    assert (code, out, err) == (2, "", "input error: unknown builtin name 'nope'")
 
 
 def test_ca_fiber(capsys):
@@ -246,6 +283,14 @@ def test_ca_recode(capsys, tmp_path):
     code, out, _ = run(capsys, "ca", "recode", rule, "0 1 1 0")
     assert code == 0
     assert out.splitlines()[0] == "block=2 alphabet=4"
+    # a word is read against the rule's symbols, as every other ca word is;
+    # an empty word prints no encoded or stepped line
+    names = run(capsys, "ca", "recode", "@d7", "a1 b1")
+    indices = run(capsys, "ca", "recode", "@d7", "0 2")
+    assert names == indices
+    assert names[1].splitlines()[1:3] == ["encoded\t0 2", "stepped\t4"]
+    code, out, _ = run(capsys, "ca", "recode", "@d7", "")
+    assert code == 0 and "encoded" not in out and "stepped" not in out
 
 
 def test_mu_invariance_example11(capsys, fixture_dir):
@@ -269,11 +314,23 @@ def test_mu_eval_with_names(capsys, fixture_dir):
     assert code == 0 and out == "1/12"
 
 
-def test_mu_entropy(capsys):
+def test_mu_entropy(capsys, monkeypatch):
+    """H_k and the increments come from one build of each level: for a
+    product measure that is three ``level`` calls per depth, one for the
+    product and one per factor."""
+    builds = []
+    level = mu.CylinderMeasure.level
+
+    def spy(m, depth):
+        builds.append(depth)
+        return level(m, depth)
+
+    monkeypatch.setattr(mu.CylinderMeasure, "level", spy)
     code, out, _ = run(capsys, "mu", "entropy", "@example11,2", "--depth", "4")
     assert code == 0
     rows = [ln.split("\t") for ln in out.splitlines()[1:]]
     assert [r[2] for r in rows[1:]] == ["1", "1", "1"]
+    assert sorted(builds) == [1] * 3 + [2] * 3 + [3] * 3 + [4] * 3
 
 
 def test_mu_conditional(capsys):
@@ -287,6 +344,11 @@ def test_mu_cmeasure(capsys, fixture_dir):
                        fixture_dir / "c2q.group",
                        "--subgroup", "(0,1) (1,1)", "--depth", "3")
     assert code == 0 and "passed=True" in out
+    # the subgroup is read as names of the group, not of the measure
+    code, out, err = run(capsys, "mu", "cmeasure", "@uniform,16", "@c2q",
+                         "--subgroup", "(0,1) (1,1)", "--depth", "2")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1].endswith("is not the coset [0, 8]")
 
 
 def test_mu_cmeasure_digit_names_are_names(capsys, tmp_path):
@@ -303,6 +365,40 @@ def test_mu_cmeasure_digit_names_are_names(capsys, tmp_path):
     code, out, err = run(capsys, "mu", "cmeasure", measure, group,
                          "--subgroup", "0000 0010", "--depth", "2")
     assert code == 0 and "passed=True" in out, err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("ca", "step", "@d7", "a1 zz"), "unknown symbol 'zz'"),
+    (("ca", "step", "@d7", "a1 9"), "symbol index 9 outside 0..6"),
+    (("mu", "eval", "@uniform,5", "0 zz"), "unknown symbol 'zz'"),
+    (("mu", "eval", "@uniform,5", "0 9"), "symbol index 9 outside 0..4"),
+    (("mu", "cmeasure", "@uniform,4", "@cyclic,7", "--subgroup", "0 zz"),
+     "unknown symbol 'zz'"),
+    (("mu", "cmeasure", "@uniform,4", "@cyclic,7", "--subgroup", "0 9"),
+     "symbol index 9 outside 0..6"),
+])
+def test_a_bad_word_is_read_against_the_input_before_it(capsys, argv,
+                                                        message):
+    """A rule word, a measure word and a --subgroup each exit 2 with the
+    index range of the input named before them."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"input error: {message}")
+
+
+@pytest.mark.parametrize("argv", [
+    ("eca", "kernel", "@nope1", "@nope2"),
+    ("eca", "invsubgroups", "@nope1", "--rule", "@nope2"),
+    ("mu", "fibers", "@nope1", "@nope2"),
+    ("mu", "invariance", "@nope1", "--ca", "@nope2"),
+    ("mu", "cmeasure", "@nope1", "@nope2", "--subgroup", "zz"),
+    ("mu", "cmeasure", "@uniform,2", "@nope1", "--subgroup", "zz"),
+    ("ca", "step", "@nope1", "zz"),
+])
+def test_the_first_bad_input_is_reported(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: unknown builtin name ") \
+        and "nope1" in err
 
 
 def test_mu_cmeasure_size_mismatch_message(capsys, fixture_dir):
@@ -556,11 +652,16 @@ GOLDEN_COMMANDS = {
 
 
 @pytest.mark.parametrize("golden", sorted(GOLDEN_COMMANDS))
-def test_golden_output(capsys, fixture_dir, golden):
+def test_golden_output(capsys, tmp_path, fixture_dir, golden):
     argv = [a.format(fx=fixture_dir) for a in GOLDEN_COMMANDS[golden]]
     code, out, _ = run_raw(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+    # the same report written to --out: the golden bytes, nothing on stdout
+    path = tmp_path / golden
+    code, out, err = run_raw(capsys, *argv, "--out", path)
+    assert (code, out, err) == (0, "", "")
+    assert path.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_invsubspaces_family_bound_exit_code(capsys, monkeypatch):

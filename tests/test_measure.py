@@ -234,6 +234,18 @@ def test_entropy_increments_nonincreasing():
             assert b <= a + 1e-12
 
 
+@pytest.mark.parametrize("n_max", [0, 1, 4])
+def test_entropy_profile_is_each_block_entropy_and_increment(n_max):
+    """H_k is bit for bit ``block_entropy`` at k, and the increments are the
+    oracle's exact differences."""
+    for m in (mu.BernoulliMeasure([F(1, 3), F(2, 3)]), stationary_markov(),
+              orbit_ijk(), mu.example11(cyclic_group(2))):
+        blocks, increments = mu.entropy_profile(m, n_max)
+        assert blocks == [mu.block_entropy(m, k) for k in range(1, n_max + 1)]
+        assert increments == oracles.entropy_rate_profile(m, n_max) \
+            == mu.entropy_rate_profile(m, n_max)
+
+
 # ---------------------------------------------------------------------------
 # conditionals and coset measures
 

@@ -9,7 +9,8 @@ from qgca import automaton as ca
 from qgca import groups as gr
 from qgca import quasigroup as qg
 from qgca.errors import (BadEntry, BadParams, DuplicateInColumn,
-                         DuplicateInRow, ParseError, TooLarge, UnknownName)
+                         DuplicateInRow, ParseError, TableTooLarge, TooLarge,
+                         UnknownName)
 from qgca.suite import random_latin_square
 
 import oracles
@@ -208,6 +209,39 @@ def test_index_dtype_edge():
     assert qg.index_dtype(2 ** 15 + 1) == np.int32
     assert np.iinfo(qg.index_dtype(ca.RULE_TABLE_BOUND)).max \
         >= ca.RULE_TABLE_BOUND - 1
+
+
+@pytest.mark.parametrize("bound, fits, past", [
+    (36, lambda: qg.builtin("cyclic", [6]), lambda: qg.builtin("cyclic", [7])),
+    (49, lambda: qg.builtin("ledrappier", [7, 1, 2]),
+     lambda: qg.builtin("ledrappier", [11, 1, 2])),
+    (36, lambda: qg.builtin_from_spec("product cyclic 2 cyclic 3"),
+     lambda: qg.builtin_from_spec("product cyclic 1 cyclic 7")),
+    (64, lambda: gr.elementary_abelian_group(2, 3),
+     lambda: gr.elementary_abelian_group(3, 2)),
+], ids=["cyclic", "ledrappier", "product", "elementary_abelian_group"])
+def test_builtin_tables_are_bounded_before_they_are_built(monkeypatch, bound,
+                                                          fits, past):
+    """N**2 entries equal to the rule-table bound fit; one symbol more (the
+    next prime for ledrappier) is TableTooLarge.  The bound is read where it
+    lives, when the table is asked for."""
+    monkeypatch.setattr(ca, "RULE_TABLE_BOUND", bound)
+    assert fits().order ** 2 == bound
+    with pytest.raises(TableTooLarge) as exc:
+        past()
+    assert exc.value.bound == bound
+
+
+def test_elementary_abelian_group_past_the_bound_allocates_nothing():
+    """(Z/2)^16 has 2**32 entries: refused before any factor is built."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableTooLarge, match="4294967296 entries"):
+            gr.elementary_abelian_group(2, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 _TABLE_MAKERS = {
