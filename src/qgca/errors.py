@@ -95,7 +95,7 @@ class TableTooLarge(BoundError):
     def __init__(self, entries, bound):
         self.entries = entries
         self.bound = bound
-        super().__init__(f"rule table with {entries} entries exceeds bound {bound}")
+        super().__init__(f"table with {entries} entries exceeds bound {bound}")
 
 
 class TooLarge(BoundError):

@@ -209,12 +209,35 @@ def dual(q: Quasigroup) -> Quasigroup:
     return Quasigroup(q.symbols, freeze_table(row_inverses(q.table)))
 
 
+def greedy_generators(table: np.ndarray, inside: np.ndarray):
+    """Yield the least element g outside the bool mask ``inside``, grow the
+    mask in place to its closure under right products with g and the
+    earlier yields, and repeat until it is full.  From a group's identity
+    the mask is the subgroup they generate, at least doubled by each."""
+    gens: list[int] = []
+    while not inside.all():
+        g = int(inside.argmin())
+        yield g
+        gens.append(g)
+        # the mask so far is closed under the earlier elements
+        new = np.zeros_like(inside)
+        new[table[inside, g]] = True
+        new[g] = True
+        while (frontier := np.flatnonzero(new > inside)).size:
+            inside[frontier] = True
+            new[table[frontier[:, None], gens]] = True
+
+
 def associativity_witness(q: Quasigroup) -> tuple[int, int, int] | None:
     """First triple (a, b, c) with (a*b)*c != a*(b*c), or None.
 
-    One first factor a at a time, each compared in row blocks over b."""
+    Light's test (Clifford and Preston, 1961): the first factors that pass
+    are closed under products, so only the :func:`greedy_generators` from an
+    empty mask are compared, each in row blocks over b; every factor below
+    one compared lies in the mask of passed factors.  A proper subquasigroup
+    has at most half the order: at most floor(log2 N) + 1 are compared."""
     t = q.table
-    for a in range(q.order):
+    for a in greedy_generators(t, np.zeros(q.order, dtype=bool)):
         # [b, c] entries (a*b)*c and a*(b*c), for the b in r
         bad = first_hit(lambda r: t[t[a, r]] != t[a][t[r]], q.order)
         if bad is not None:
@@ -334,14 +357,33 @@ def unpack_digits(base: int, width: int, value) -> tuple:
     return tuple(reversed(out))
 
 
+# Miller-Rabin bases: the first 13 primes, which decide every n below
+# psi_13 (Sorenson and Webster, Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Whether n is prime, by deterministic Miller-Rabin over
+    ``_PRIME_BASES``; raises TooLarge at or past ``PRIME_TEST_BOUND``,
+    where those bases no longer decide."""
+    if n >= PRIME_TEST_BOUND:
+        raise TooLarge(f"{n} is not below the primality test bound "
+                       f"{PRIME_TEST_BOUND}")
+    if n <= _PRIME_BASES[-1] or n % 2 == 0:
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1     # n - 1 = d * 2**s, d odd
+    d = (n - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -196,11 +196,13 @@ sys.exit(code)
     ("@cyclic,40000", 40000 ** 2),
     ("@ledrappier,40009,1,1", 40009 ** 2),
     ("@product,cyclic,200,cyclic,200", 40000 ** 2),
+    ("@ledrappier,2305843009213693951,1,1", (2 ** 61 - 1) ** 2),
 ])
 def test_a_builtin_table_past_the_bound_exits_3(tmp_path, spec, entries):
     """Refused before its N**2 entries are allocated: exit 3 and the bound
     line, with no traceback, within a 2 GiB address space and in under 1 s
-    (the table alone would take about 6 GiB)."""
+    (the table alone would take about 6 GiB).  The modulus 2**61 - 1 is
+    found prime first, in that time too."""
     src = Path(cli.__file__).resolve().parents[1]
     seconds = tmp_path / "seconds"
     proc = subprocess.run(
@@ -208,8 +210,22 @@ def test_a_builtin_table_past_the_bound_exits_3(tmp_path, spec, entries):
          spec], capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(src)})
     assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
-    assert proc.stderr == (f"bound exceeded: rule table with {entries} "
+    assert proc.stderr == (f"bound exceeded: table with {entries} "
                            "entries exceeds bound 16777216\n")
+    assert float(seconds.read_text()) < 1
+
+
+def test_eca_charpoly_over_a_61_bit_prime(tmp_path):
+    """The modulus 2**61 - 1 is found prime in under 1 s (trial division
+    would take about 1.5e9 divisions)."""
+    src = Path(cli.__file__).resolve().parents[1]
+    seconds = tmp_path / "seconds"
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CHILD, str(seconds), "eca", "charpoly",
+         "@identity,2305843009213693951,2"], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert "min=x + 2305843009213693950" in proc.stdout.splitlines()
     assert float(seconds.read_text()) < 1
 
 
@@ -695,17 +711,21 @@ def test_eca_invsubspaces_enumeration_bound_exit_code(capsys):
     assert err == "bound exceeded: 2^21 vectors exceed bound 1048576"
 
 
-def test_eca_hmax_associativity_check_bound_exit_code(capsys, monkeypatch,
-                                                      fixture_dir):
-    from qgca import groups
-    group = fixture_dir / "quaternion.group"
-    monkeypatch.setattr(groups, "ASSOCIATIVITY_CHECK_BOUND", 8)
-    code, out, _ = run(capsys, "eca", "hmax", group)
+def test_eca_group_file_past_order_1024_is_verified(capsys, fixture_dir,
+                                                    tmp_path):
+    """A group file of any order the table bound admits is verified, so
+    past order 1024 it is read as a group and the enumeration bound of
+    h_max is the bound it meets."""
+    code, out, _ = run(capsys, "eca", "hmax", fixture_dir / "quaternion.group")
     assert (code, out) == (0, "h_max=2")
-    monkeypatch.setattr(groups, "ASSOCIATIVITY_CHECK_BOUND", 7)
+    group = tmp_path / "c1031.group"
+    group.write_text(format_group(cyclic_group(1031)))
+    got = run(capsys, "eca", "kernel", "@cyclic,1031", group)
+    assert got[0] == 0
+    assert got == run(capsys, "eca", "kernel", "@cyclic,1031", "@cyclic,1031")
     code, out, err = run(capsys, "eca", "hmax", group)
     assert (code, out) == (3, "")
-    assert err == "bound exceeded: order 8 exceeds enumeration bound 7"
+    assert err == "bound exceeded: order 1031 exceeds enumeration bound 64"
 
 
 def test_ca_step_rule_table_bound_exit_code(capsys, tmp_path):
@@ -716,7 +736,7 @@ def test_ca_step_rule_table_bound_exit_code(capsys, tmp_path):
     rule.write_text("2 12 12\n")
     code, out, err = run(capsys, "ca", "step", rule, "0 1")
     assert (code, out) == (3, "")
-    assert err == ("bound exceeded: rule table with 33554432 entries "
+    assert err == ("bound exceeded: table with 33554432 entries "
                    "exceeds bound 16777216")
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -343,12 +344,21 @@ def test_associativity_witness_stops_in_the_first_row_block():
     assert peak < 2 ** 20
 
 
+def _relabelled(q, rng):
+    """q with its elements renumbered by a random permutation."""
+    perm = np.array(rng.sample(range(q.order), q.order))
+    t = np.empty_like(q.table)
+    t[np.ix_(perm, perm)] = perm[q.table]
+    return qg.validate_latin(t)
+
+
 def test_associativity_witness_is_the_a_major_first_triple(rng, monkeypatch):
     """On random Latin squares, on random loops (the squares with rows and
     columns ordered so that 0 is the identity), on (Z/2)^4 with one random
-    intercalate flipped (so the witness lies past the first rows) and on
-    groups, the witness is the first failing (a, b, c) in a-major order, in
-    blocks of one row as in one block."""
+    intercalate flipped (so the witness lies past the first rows), on
+    groups, relabelled groups and group tables with two rows swapped, the
+    witness is the first failing (a, b, c) in a-major order, in blocks of
+    one row as in one block."""
     tables = [qg.builtin("quaternion"), qg.builtin("nonabelian21")]
     for n in (3, 4, 5, 6, 7, 8) * 3:
         t = np.array(random_latin_square(n, rng))
@@ -361,11 +371,49 @@ def test_associativity_witness_is_the_a_major_first_triple(rng, monkeypatch):
         t = np.array(xor)
         t[np.ix_([r, r ^ x], [c, c ^ x])] ^= x
         tables.append(qg.validate_latin(t))
+    # groups relabelled, and group tables with two rows swapped
+    groups = [qg.builtin(name) for name in ("quaternion", "nonabelian21")]
+    groups += [qg.builtin("cyclic", [12]), gr.elementary_abelian_group(2, 3),
+               qg.builtin("product", ["cyclic,2", "quaternion"])]
+    for q in groups * 2:
+        tables.append(_relabelled(q, rng))
+        t = np.array(tables[-1].table)
+        r = rng.sample(range(q.order), 2)
+        t[r] = t[r[::-1]]
+        tables.append(qg.validate_latin(t))
     expect = [_associativity_bruteforce(q.rows) for q in tables]
     assert expect[:2] == [None, None] and max(w[1] for w in expect if w) > 4
+    assert expect[-20::2] == [None] * 10 and None not in expect[-19::2]
     assert [qg.associativity_witness(q) for q in tables] == expect
     monkeypatch.setattr(qg, "BLOCK", 1)
     assert [qg.associativity_witness(q) for q in tables] == expect
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: qg.builtin("cyclic", [1]),
+    lambda rng: qg.builtin("cyclic", [2]),
+    lambda rng: qg.builtin("cyclic", [1024]),
+    lambda rng: gr.elementary_abelian_group(2, 5),
+    lambda rng: gr.elementary_abelian_group(7, 4),
+    lambda rng: qg.builtin("quaternion"),
+    lambda rng: qg.builtin("nonabelian21"),
+    lambda rng: _relabelled(qg.builtin("nonabelian21"), rng),
+    lambda rng: _relabelled(gr.elementary_abelian_group(2, 6), rng),
+    lambda rng: _relabelled(qg.builtin("product", ["cyclic,3", "quaternion"]),
+                            rng),
+], ids=["c1", "c2", "c1024", "z2^5", "z7^4", "quaternion", "nonabelian21",
+        "relabelled-nonabelian21", "relabelled-z2^6", "relabelled-c3q"])
+def test_light_test_compares_at_most_log2_n_plus_1_first_factors(
+        make, rng, monkeypatch):
+    """Each first factor compared is one first_hit scan; on a group each
+    one at least doubles the subgroup the compared factors generate."""
+    q = make(rng)
+    calls = []
+    scan = qg.first_hit
+    monkeypatch.setattr(qg, "first_hit",
+                        lambda *args: calls.append(1) or scan(*args))
+    assert qg.associativity_witness(q) is None
+    assert 1 <= len(calls) <= q.order.bit_length()
 
 
 def test_group_mul_past_the_small_alphabet_builds_no_int_table():
@@ -782,7 +830,26 @@ def test_table_is_readonly(d7):
 
 
 # ---------------------------------------------------------------------------
-# base-p digit codec
+# base-p digit codec and primality
+
+def _is_prime_by_trial_division(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_is_exact_below_the_test_bound():
+    """Miller-Rabin on the first 13 primes against trial division, then on
+    strong pseudoprimes to the first 4, 11 and 12 of those bases (561, a
+    Carmichael number, is one to none of them), on the Mersenne prime
+    2**61 - 1 and at the bound."""
+    assert [n for n in range(20001) if qg.is_prime(n)] == \
+        [n for n in range(20001) if _is_prime_by_trial_division(n)]
+    for n in (561, 3_215_031_751, 3_825_123_056_546_413_051,
+              318_665_857_834_031_151_167_461):
+        assert not qg.is_prime(n)
+    assert qg.is_prime(2 ** 61 - 1)
+    with pytest.raises(TooLarge, match=f"bound {qg.PRIME_TEST_BOUND}$"):
+        qg.is_prime(qg.PRIME_TEST_BOUND)
+
 
 @settings(max_examples=60, deadline=None)
 @given(base=st.integers(2, 9), width=st.integers(1, 4), data=st.data())
