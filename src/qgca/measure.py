@@ -10,13 +10,14 @@ The sweeps (invariance, entropy, fibers, cosets) run on levels: the
 level of depth d holds every positive-mass word of length d as its base-N
 code, with integer numerators over one common denominator.  A level is
 also read in slices, one per first symbol, taken in chunks of whole slices
-of at most N**(d-1) entries.  A pushforward's level d is its base's level
-d+1 read chunk by chunk: a bipermutative rule maps each slice one to one
-onto the words of length d, so the chunks' images scatter-add into an
-array of all N**d codes, and a level that fits in one chunk is sorted and
-summed in one pass.  The invariance, coset and fiber reductions read
-level d+1 in one such sweep each; only a fiber spectrum keeps the chunks,
-with their images, until the sweep ends.
+of at most N**(d-1) entries.  A pushforward, under the shift or under a
+bipermutative rule, is one class whose level d is one sweep of its base's
+level d+1, chunk by chunk: either map sends each slice one to one onto the
+words of length d, so the chunks' images scatter-add into an array of all
+N**d codes, and a level that fits in one chunk is sorted and summed in one
+pass.  The invariance, coset and fiber reductions each run one such sweep,
+the coset and fiber ones visiting every chunk with its image; only a fiber
+spectrum keeps the chunks, with their images, until the sweep ends.
 
 A chunk of whole slices with int64 codes, as every chunk of a uniform or
 full-support level is, is imaged by one broadcast add onto the images of
@@ -109,31 +110,6 @@ def _split(lv: Level) -> Parts:
     return np.diff(at), lambda lo, hi: Level(
         lv.alphabet_size, lv.depth, lv.codes[at[lo]:at[hi]],
         lv.nums[at[lo]:at[hi]], lv.den)
-
-
-def _pushed(parts: Sequence[Callable[[], Level]], depth: int,
-            key: Callable[[Level], np.ndarray]) -> Level:
-    """The level of ``depth`` whose mass at each code is the summed mass of
-    the chunk words that ``key`` sends there.
-
-    A single chunk is sorted and summed.  Several are built one by one and
-    scatter-added into an array of all N**depth codes, which is smaller
-    than the level they make up.
-    """
-    if len(parts) == 1:
-        lv = parts[0]()
-        codes, at = np.unique(key(lv), return_inverse=True)
-        nums = np.zeros(len(codes), dtype=lv.nums.dtype)
-        np.add.at(nums, at, lv.nums)
-        return Level(lv.alphabet_size, depth, codes, nums, lv.den)
-    out = None
-    for part in parts:
-        lv = part()
-        if out is None:
-            out = np.zeros(lv.alphabet_size ** depth, dtype=lv.nums.dtype)
-        np.add.at(out, key(lv), lv.nums)
-    codes = np.flatnonzero(out)
-    return Level(lv.alphabet_size, depth, codes, out[codes], lv.den)
 
 
 def _suffix_images(rule: LocalRule, depth: int) -> np.ndarray:
@@ -426,58 +402,68 @@ class ProductMeasure(CylinderMeasure):
         return sizes, chunk
 
 
-class CaPushforward(CylinderMeasure):
-    """Image measure under a bipermutative nearest-neighbour rule.
+class Pushforward(CylinderMeasure):
+    """Image measure under the one-sided shift (``rule`` None), eval(w) =
+    sum_b base(b + w), or under a bipermutative nearest-neighbour rule,
+    eval(w) = the summed base masses of the N fiber preimages of w.  Right
+    additivity holds by construction.
 
-    eval(w) sums the base masses of the N fiber preimages of w, so right
-    additivity holds by construction.  Level d is built from the base's
-    level d+1 in chunks of first-symbol slices: step maps the words of one
-    slice one to one onto the words of length d, so a chunk's image codes
-    are scatter-added into an array of all N**d codes, or, when the base
-    level is a single chunk, sorted and summed in one pass.
+    Level d is one sweep of the base's level d+1, chunk by chunk of
+    first-symbol slices.  The shift cuts each code to its last d symbols
+    and the rule steps it; either maps each slice one to one onto the words
+    of length d.
     """
 
-    def __init__(self, base: CylinderMeasure, rule: LocalRule):
-        if not rule.is_rnnca or not is_bipermutative(rule):
-            raise NotBipermutative("pushforward needs a bipermutative "
-                                   "nearest-neighbour rule")
-        if rule.alphabet_size != base.alphabet_size:
-            raise AlphabetSizeMismatch("rule alphabet", rule.alphabet_size,
-                                       "measure alphabet", base.alphabet_size)
+    def __init__(self, base: CylinderMeasure, rule: LocalRule | None = None):
+        if rule is not None:
+            if not rule.is_rnnca or not is_bipermutative(rule):
+                raise NotBipermutative("pushforward needs a bipermutative "
+                                       "nearest-neighbour rule")
+            if rule.alphabet_size != base.alphabet_size:
+                raise AlphabetSizeMismatch(
+                    "rule alphabet", rule.alphabet_size,
+                    "measure alphabet", base.alphabet_size)
         super().__init__(base.alphabet_size)
         self.base = base
         self.rule = rule
 
     def _eval(self, word: Word) -> Fraction:
-        return sum((self.base.eval(f)
-                    for f in fiber_preimages(self.rule, word)), ZERO)
+        words = (((b,) + word for b in range(self.alphabet_size))
+                 if self.rule is None else fiber_preimages(self.rule, word))
+        return sum((self.base.eval(f) for f in words), ZERO)
 
     def _parts(self, depth: int) -> Parts:
-        suffix = cache(partial(_suffix_images, self.rule))
-        return _split(_pushed(self.base._slices(depth + 1), depth,
-                              lambda lv: _ca_image(self.rule, lv.codes,
-                                                   depth, suffix)))
+        return _split(self._sweep(depth))
 
-
-class ShiftPushforward(CylinderMeasure):
-    """Image measure under the one-sided shift: eval(w) = sum_b base(b + w).
-
-    Level d sums the base's level d+1 chunk by chunk, with codes taken
-    modulo N**d, which are distinct within one first-symbol slice.
-    """
-
-    def __init__(self, base: CylinderMeasure):
-        super().__init__(base.alphabet_size)
-        self.base = base
-
-    def _eval(self, word: Word) -> Fraction:
-        return sum((self.base.eval((b,) + word)
-                    for b in range(self.alphabet_size)), ZERO)
-
-    def _parts(self, depth: int) -> Parts:
-        size = self.alphabet_size ** depth
-        return _split(_pushed(self.base._slices(depth + 1), depth,
-                              lambda lv: lv.codes % size))
+    def _sweep(self, depth: int,
+               visit: Callable[[Level, np.ndarray], object] | None = None
+               ) -> Level:
+        """The level of ``depth``, summed from the base's level depth+1,
+        whose chunks are built one by one and passed to ``visit`` with their
+        image codes.  A single chunk is sorted and summed.  Several are
+        scatter-added into an array of all N**depth codes, which is smaller
+        than the level they make up; each image is dropped before the next
+        chunk is built.  The rule's chunks share one cache of S_depth."""
+        n, rule = self.alphabet_size, self.rule
+        size, suffix = n ** depth, cache(partial(_suffix_images, rule))
+        parts, out = self.base._slices(depth + 1), None
+        for part in parts:
+            lv = part()
+            image = (lv.codes % size if rule is None
+                     else _ca_image(rule, lv.codes, depth, suffix))
+            if visit:
+                visit(lv, image)
+            if len(parts) == 1:
+                codes, at = np.unique(image, return_inverse=True)
+                nums = np.zeros(len(codes), dtype=lv.nums.dtype)
+                np.add.at(nums, at, lv.nums)
+                return Level(n, depth, codes, nums, lv.den)
+            if out is None:
+                out = np.zeros(size, dtype=lv.nums.dtype)
+            np.add.at(out, image, lv.nums)
+            del image
+        codes = np.flatnonzero(out)
+        return Level(n, depth, codes, out[codes], lv.den)
 
 
 # ---------------------------------------------------------------------------
@@ -488,21 +474,22 @@ def eval_cylinder(m: CylinderMeasure, word: Sequence[int]) -> Fraction:
 
 
 def pushforward_ca(m: CylinderMeasure, rule: LocalRule) -> CylinderMeasure:
-    return CaPushforward(m, rule)
+    return Pushforward(m, rule)
 
 
 def pushforward_shift(m: CylinderMeasure) -> CylinderMeasure:
-    return ShiftPushforward(m)
+    return Pushforward(m)
 
 
 def _check_depth(alphabet_size: int, depth: int) -> None:
     """Reject a negative depth, and one whose N**depth words exceed the
     bound.  N**depth also bounds the largest level array that invariance
-    and coset reductions allocate: they read level depth+1 in chunks of at
-    most N**depth entries.  A fiber sweep keeps every chunk with its image
-    and gathers arrays as long as level depth+1, whose N**(depth+1) words
-    its caller bounds too.  A pushforward of a pushforward, an orbit measure
-    or a measure with only ``_eval`` builds its whole level depth+1 first."""
+    and coset reductions allocate: their ``Pushforward._sweep`` reads level
+    depth+1 in chunks of at most N**depth entries and holds one chunk's
+    image at a time.  A fiber sweep keeps every chunk with its image and
+    gathers arrays as long as level depth+1, whose N**(depth+1) words its
+    caller bounds too.  A pushforward of a pushforward, an orbit measure or
+    a measure with only ``_eval`` builds its whole level depth+1 first."""
     if depth < 0:
         raise BadParams("depth must be nonnegative")
     if alphabet_size ** depth > WORD_ENUMERATION_BOUND:
@@ -556,9 +543,8 @@ def invariance_report(m: CylinderMeasure, depth: int,
     word is the lexicographically first one reaching the maximum.
     """
     _check_depth(m.alphabet_size, depth)
-    pushed = pushforward_shift(m) if rule is None else pushforward_ca(m, rule)
     # the image first, so the base's level is not held while it is built
-    image = pushed.level(depth)
+    image = Pushforward(m, rule).level(depth)
     dev, worst = _max_deviation(m.level(depth), image)
     return InvarianceReport("shift" if rule is None else "ca",
                             depth, dev, worst)
@@ -739,8 +725,7 @@ def coset_measure_check(m: CylinderMeasure, g: GroupTable,
 
     # the words b + w in slices of first symbol b, tallied at w; summed
     # over b they are the shift pushforward, whose deviation is embedded
-    def tally(lv: Level) -> np.ndarray:
-        tail = lv.codes % size
+    def tally(lv: Level, tail: np.ndarray) -> None:
         # past the last word, searchsorted's len wraps to 0, a miss
         at = np.searchsorted(own.codes, tail) % len(own.codes)
         hit = own.codes[at] == tail
@@ -751,8 +736,7 @@ def coset_measure_check(m: CylinderMeasure, g: GroupTable,
         den = math.lcm(own.den, lv.den)
         uneven[at[_fit(lv.nums[hit], den * k) * (den // lv.den * k)
                   != _fit(own.nums[at], den * k) * (den // own.den)]] = True
-        return tail
-    shifted = _pushed(m._slices(depth + 1), depth, tally)
+    shifted = Pushforward(m)._sweep(depth, tally)
     ok = ((low == high) & (count == k) & ~uneven)[picked]
 
     checked, worst = len(picked), None
@@ -817,17 +801,13 @@ def fiber_spectrum(m: CylinderMeasure, rule: LocalRule, depth: int,
     step(x) = w, indexed by x's first symbol a: its member of first symbol
     a is the word of the base's slice a that steps to w.
     """
-    pushforward_ca(m, rule)     # validates the rule against the measure
+    stepped = Pushforward(m, rule)  # validates the rule against the measure
     _check_depth(m.alphabet_size, depth)
     _check_depth(m.alphabet_size, depth + 1)
     n = m.alphabet_size
     # one sweep builds and images each chunk once, kept for the weights
-    chunks, suffix = [], cache(partial(_suffix_images, rule))
-
-    def image(lv: Level) -> np.ndarray:
-        chunks.append((lv, img := _ca_image(rule, lv.codes, depth, suffix)))
-        return img
-    pushed = _pushed(m._slices(depth + 1), depth, image)
+    chunks = []
+    pushed = stepped._sweep(depth, lambda *chunk: chunks.append(chunk))
     heavy = _at_least(pushed, mass_floor)
     picked, row = np.flatnonzero(heavy), np.cumsum(heavy) - 1
     if not picked.size:
@@ -976,9 +956,9 @@ def parse_measure(text: str, base_dir=None) -> MeasureDoc:
         if base_dir is None:
             raise ParseError("no base directory for nested rule reference")
         rule = load_rule(Path(base_dir) / need("rule"))
-        measure = CaPushforward(nested("base"), rule)
+        measure = Pushforward(nested("base"), rule)
     elif kind == "pushforward_shift":
-        measure = ShiftPushforward(nested("base"))
+        measure = Pushforward(nested("base"))
     else:
         raise ParseError(f"unknown measure kind {kind!r}")
 

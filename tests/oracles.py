@@ -30,8 +30,8 @@ from qgca.errors import (AlphabetSizeMismatch, BadEntry, BadParams,
 from qgca.matfp import (MatrixFp, Poly, Vec, _insert, in_span, p_divmod,
                         p_monic, p_mul, p_norm, p_sub)
 from qgca.measure import (WORD_ENUMERATION_BOUND, ZERO, ONE,
-                          CaPushforward, CosetMeasureReport, FiberReport,
-                          FiberRow, InvarianceReport, Level, ShiftPushforward,
+                          CosetMeasureReport, FiberReport, FiberRow,
+                          InvarianceReport, Level, Pushforward,
                           _check_depth, _combo_float, _combo_sub, _factorize,
                           _log2_exponents, conditional_dist, pushforward_ca,
                           pushforward_shift)
@@ -285,11 +285,11 @@ def whole_level(m, depth):
     built from its base's whole level depth+1: each word mapped to its image
     code, the codes argsorted and the masses summed over each run.  Other
     kinds give their own level."""
-    if depth == 0 or not isinstance(m, (CaPushforward, ShiftPushforward)):
+    if depth == 0 or not isinstance(m, Pushforward):
         return m.level(depth)
     base, n = whole_level(m.base, depth + 1), m.alphabet_size
     keys = _ca_image(m.rule, base.codes, depth) \
-        if isinstance(m, CaPushforward) else base.codes % n ** depth
+        if m.rule is not None else base.codes % n ** depth
     order = np.argsort(keys, kind="stable")
     ordered = keys[order]
     new = np.ones(len(ordered), dtype=bool)

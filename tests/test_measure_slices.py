@@ -19,6 +19,7 @@ from qgca import automaton as ca
 from qgca import fixtures
 from qgca import measure as mu
 from qgca import quasigroup as qg
+from qgca.groups import cyclic_group
 from qgca.suite import random_bipermutative_rule
 from test_measure_levels import base_measures, rules
 
@@ -291,12 +292,16 @@ def traced_peak(fn, *args):
 
 
 def test_d7_depth6_invariance_holds_no_level_seven():
+    """The CA and shift sweeps keep at most one chunk image alive: keeping
+    the last one while the next chunk is built reads 6 and 5 * 7**6 int64
+    entries."""
     rule = ca.from_quasigroup(qg.builtin("D7"))
-    rep, peak = traced_peak(mu.invariance_report, mu.UniformMeasure(7), 6,
-                            rule)
-    assert (rep.max_abs_deviation, rep.worst_word) == (0, None)
-    # the whole level 7 alone is 2 * 7**7 entries
-    assert peak <= 8 * 7 ** 6 * INT64.itemsize
+    for args, bound in (((rule,), 5.5), ((), 4.75)):
+        rep, peak = traced_peak(mu.invariance_report, mu.UniformMeasure(7),
+                                6, *args)
+        assert (rep.max_abs_deviation, rep.worst_word) == (0, None)
+        # the whole level 7 alone is 2 * 7**7 entries
+        assert peak <= bound * 7 ** 6 * INT64.itemsize
 
 
 @pytest.mark.parametrize("nl, nr", [(2, 3), (3, 2)])
@@ -353,7 +358,10 @@ def counted_sweeps(monkeypatch):
 def test_d7_sweeps_build_and_image_each_chunk_once(monkeypatch):
     """Level 5 of the uniform measure is 7 one-slice chunks: the fiber
     spectrum builds and images each once and builds S_4 once.  The depth-6
-    invariance check builds S_6 once for its 7 chunks of level 7."""
+    invariance check builds S_6 once for its 7 chunks of level 7.  The
+    shift's depth-6 invariance check and a depth-5 coset check build each
+    chunk of the level below once, and their own level once, and image no
+    chunk by the rule."""
     rule = ca.from_quasigroup(qg.builtin("D7"))
     calls = counted_sweeps(monkeypatch)
     rep = mu.fiber_spectrum(mu.UniformMeasure(7), rule, 4)
@@ -365,6 +373,15 @@ def test_d7_sweeps_build_and_image_each_chunk_once(monkeypatch):
     assert rep.max_abs_deviation == 0
     assert (calls["build", 7], calls["image"], calls["suffix", 6]) \
         == (7, 7, 1)
+    calls.clear()
+    rep = mu.invariance_report(mu.UniformMeasure(7), 6)
+    assert rep.max_abs_deviation == 0
+    assert calls == {("build", 7): 7, ("build", 6): 1}
+    calls.clear()
+    rep = mu.coset_measure_check(mu.UniformMeasure(7), cyclic_group(7),
+                                 range(7), 5)
+    assert (rep.passed, rep.words_checked) == (True, 7 ** 5)
+    assert calls == {("build", 6): 7, ("build", 5): 1}
 
 
 def test_whole_slices_of_a_large_table_widen_only_their_rows():
